@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -227,14 +228,14 @@ def _cmd_place(args: argparse.Namespace) -> int:
     from repro.placement import SLO, search_placements
 
     slo = None
-    if (args.deadline_ms is not None or args.min_rps is not None
-            or args.energy_j is not None):
-        slo = SLO(
-            deadline_s=None if args.deadline_ms is None else args.deadline_ms / 1e3,
-            min_throughput_rps=args.min_rps,
-            max_energy_j=args.energy_j,
-        )
     try:
+        if (args.deadline_ms is not None or args.min_rps is not None
+                or args.energy_j is not None):
+            slo = SLO(
+                deadline_s=None if args.deadline_ms is None else args.deadline_ms / 1e3,
+                min_throughput_rps=args.min_rps,
+                max_energy_j=args.energy_j,
+            )
         frontier = search_placements(
             args.model,
             edge_devices=args.device or None,
@@ -335,6 +336,10 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     if args.placement and args.pool:
         print("error: pass --placement or --pool, not both", file=sys.stderr)
         return 2
+    if args.rate is not None and not (math.isfinite(args.rate) and args.rate > 0):
+        print(f"error: --rate must be a finite positive req/s, got {args.rate}",
+              file=sys.stderr)
+        return 2
     try:
         if args.placement:
             pools = [_placement_pool(args.placement, args.replicas)]
@@ -351,7 +356,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     # Default load: 70% of the fleet's peak service rate — busy but stable.
-    rate_hz = args.rate if args.rate else 0.7 * simulation.capacity_rps
+    rate_hz = args.rate if args.rate is not None else 0.7 * simulation.capacity_rps
     span_s = (args.horizon if args.horizon is not None
               else args.requests / rate_hz)
     processes = {

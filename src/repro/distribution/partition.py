@@ -39,6 +39,11 @@ def cut_points(graph: Graph) -> list[CutPoint]:
     (which any deployment must return anyway, so it is the graph output
     size).  Fused-away ops cannot host a cut — their output does not
     materialize — so cuts land on schedulable ops only.
+
+    A tensor produced at position ``p`` whose last consumer sits at
+    position ``last`` crosses exactly the cuts ``p < k <= last``, so one
+    integer difference array over those ranges prices every cut in
+    O(ops + edges).
     """
     schedulable = graph.schedulable_ops()
     order_index = {id(op): i for i, op in enumerate(schedulable)}
@@ -53,35 +58,34 @@ def cut_points(graph: Graph) -> list[CutPoint]:
             return -1
         return order_index[id(anchor)]
 
-    consumers: dict[int, list[int]] = {}
+    # Last consumer position per producer position; all raw inputs share
+    # position -1 and so count once, as one tensor of ``input_bytes``.
+    last_consumer: dict[int, int] = {}
     for op in graph.ops:
         consumer_pos = position(op)
         for parent in op.inputs:
             producer_pos = position(parent)
-            if producer_pos == consumer_pos:
-                continue
-            consumers.setdefault(producer_pos, []).append(consumer_pos)
+            if consumer_pos > last_consumer.get(producer_pos, producer_pos):
+                last_consumer[producer_pos] = consumer_pos
 
-    points: list[CutPoint] = []
+    count = len(schedulable)
     input_bytes = sum(op.output_bytes() for op in graph.inputs)
-    points.append(CutPoint(index=0, after_op="", transfer_bytes=input_bytes))
     output_bytes = sum(op.output_bytes() for op in graph.outputs)
-    for k in range(1, len(schedulable) + 1):
-        # Tensors produced at position < k with a consumer at position >= k.
-        crossing = 0
-        # Raw inputs consumed beyond the cut also cross it.
-        for producer_pos, consumer_positions in consumers.items():
-            if producer_pos < k and any(pos >= k for pos in consumer_positions):
-                if producer_pos == -1:
-                    crossing += input_bytes
-                else:
-                    crossing += schedulable[producer_pos].output_bytes()
-        if k == len(schedulable):
-            crossing = output_bytes
+    delta = [0] * (count + 2)
+    for producer_pos, last in last_consumer.items():
+        size = (input_bytes if producer_pos == -1
+                else schedulable[producer_pos].output_bytes())
+        delta[producer_pos + 1] += size
+        delta[last + 1] -= size
+
+    points = [CutPoint(index=0, after_op="", transfer_bytes=input_bytes)]
+    crossing = delta[0]
+    for k in range(1, count + 1):
+        crossing += delta[k]
         points.append(CutPoint(
             index=k,
             after_op=schedulable[k - 1].name,
-            transfer_bytes=crossing,
+            transfer_bytes=output_bytes if k == count else crossing,
         ))
     return points
 

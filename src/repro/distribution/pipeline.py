@@ -18,8 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.distribution.network import NetworkLink, resolve_link
-from repro.distribution.partition import cut_points
 from repro.engine.executor import InferenceSession
 from repro.frameworks.base import DeployedModel
 from repro.placement.deployment import Deployment, StageSpec
@@ -86,6 +87,10 @@ def partition_pipeline_heterogeneous(deployments: list[DeployedModel],
     device that will run that pipeline position (robot teams are rarely
     uniform).  The DP minimizes the bottleneck stage, where a stage's
     compute time uses its own device's per-op timings.
+
+    Dynamic program over (ops consumed, devices used): classic chain
+    partitioning, O(N^2 * D) with N schedulable ops, one (start x end)
+    array step per device.
     """
     if not deployments:
         raise ValueError("need at least one deployment")
@@ -104,10 +109,12 @@ def partition_pipeline_heterogeneous(deployments: list[DeployedModel],
     if num_devices > n:
         raise ValueError(f"cannot spread {n} ops over {num_devices} devices")
 
-    cuts = cut_points(deployments[0].graph)
+    cuts = deployments[0].cut_points()
     transfer_at = [link.transfer_time_s(c.transfer_bytes) for c in cuts]
-    prefix_compute = []
+    prefixes: dict[int, list[float]] = {}
     for deployed in deployments:
+        if id(deployed) in prefixes:
+            continue  # a repeated device prices its stages identically
         # The planner prices caller-supplied deployments, outside the
         # Runner's scenario namespace.
         timings = {
@@ -116,25 +123,32 @@ def partition_pipeline_heterogeneous(deployments: list[DeployedModel],
         prefix = [0.0] * (n + 1)
         for i, name in enumerate(schedulable):
             prefix[i + 1] = prefix[i] + timings.get(name, 0.0)
-        prefix_compute.append(prefix)
+        prefixes[id(deployed)] = prefix
+    prefix_compute = [prefixes[id(deployed)] for deployed in deployments]
 
+    # best[d][end]: minimal bottleneck covering the first ``end`` ops with
+    # d devices.  Each device step prices every (start, end) stage at once:
+    # the same IEEE subtract/add/max as the scalar recurrence, and argmin's
+    # first-minimum rule is the scalar loop's strict-< update, so the
+    # chosen boundaries match it bit for bit.
     INF = float("inf")
-    best = [[INF] * (n + 1) for _ in range(num_devices + 1)]
-    choice: list[list[int]] = [[-1] * (n + 1) for _ in range(num_devices + 1)]
-    best[0][0] = 0.0
+    empty_stage = np.tril(np.ones((n + 1, n + 1), dtype=bool))  # start >= end
+    outgoing = np.array(transfer_at, dtype=np.float64)
+    last_outgoing = outgoing.copy()
+    last_outgoing[n] = 0.0  # the final stage's output stays on-device
+    best = np.full(n + 1, INF)
+    best[0] = 0.0
+    choice: list[list[int]] = [[-1] * (n + 1)]
     for d in range(1, num_devices + 1):
-        prefix = prefix_compute[d - 1]
-        for end in range(d, n + 1):
-            for start in range(d - 1, end):
-                if best[d - 1][start] == INF:
-                    continue
-                compute = prefix[end] - prefix[start]
-                outgoing = 0.0 if (d == num_devices and end == n) else transfer_at[end]
-                candidate = max(best[d - 1][start], compute + outgoing)
-                if candidate < best[d][end]:
-                    best[d][end] = candidate
-                    choice[d][end] = start
-    if best[num_devices][n] == INF:
+        prefix = np.array(prefix_compute[d - 1], dtype=np.float64)
+        send = last_outgoing if d == num_devices else outgoing
+        stage = (prefix[None, :] - prefix[:, None]) + send[None, :]
+        candidate = np.maximum(best[:, None], stage)
+        candidate[empty_stage] = INF
+        starts = np.argmin(candidate, axis=0)
+        best = candidate[starts, np.arange(n + 1)]
+        choice.append(np.where(best < INF, starts, -1).tolist())
+    if not best[n] < INF:
         raise ValueError("no feasible partition found")
 
     boundaries = [n]
@@ -160,69 +174,12 @@ def partition_pipeline_heterogeneous(deployments: list[DeployedModel],
 
 def partition_pipeline(deployed: DeployedModel, num_devices: int,
                        link: NetworkLink) -> PipelinePlan:
-    """Minimize the pipeline bottleneck over contiguous stage assignments.
-
-    Dynamic program over (ops consumed, devices used): classic chain
-    partitioning, O(N^2 * D) with N schedulable ops.
-    """
+    """Minimize the pipeline bottleneck over contiguous stage assignments
+    on ``num_devices`` copies of one device (the homogeneous case of
+    :func:`partition_pipeline_heterogeneous`)."""
     if num_devices < 1:
         raise ValueError(f"need at least one device, got {num_devices}")
-    # The planner prices a caller-supplied deployment.
-    session = InferenceSession(deployed)  # repro: allow[ARCH001]
-    timings = {t.op.name: t.latency_s for t in session.plan.timings}
-    schedulable = [op.name for op in deployed.graph.schedulable_ops()]
-    n = len(schedulable)
-    if num_devices > n:
-        raise ValueError(f"cannot spread {n} ops over {num_devices} devices")
-    cuts = cut_points(deployed.graph)  # index k -> crossing bytes after k ops
-    transfer_at = [link.transfer_time_s(c.transfer_bytes) for c in cuts]
-    prefix_compute = [0.0] * (n + 1)
-    for i, name in enumerate(schedulable):
-        prefix_compute[i + 1] = prefix_compute[i] + timings.get(name, 0.0)
-
-    def stage_cost(start: int, end: int, is_last: bool) -> float:
-        compute = prefix_compute[end] - prefix_compute[start]
-        outgoing = 0.0 if is_last else transfer_at[end]
-        return compute + outgoing
-
-    INF = float("inf")
-    # best[d][k]: minimal bottleneck covering the first k ops with d devices.
-    best = [[INF] * (n + 1) for _ in range(num_devices + 1)]
-    choice: list[list[int]] = [[-1] * (n + 1) for _ in range(num_devices + 1)]
-    best[0][0] = 0.0
-    for d in range(1, num_devices + 1):
-        for end in range(d, n + 1):
-            is_last_device = d == num_devices
-            for start in range(d - 1, end):
-                if best[d - 1][start] == INF:
-                    continue
-                cost = stage_cost(start, end, is_last_device and end == n)
-                candidate = max(best[d - 1][start], cost)
-                if candidate < best[d][end]:
-                    best[d][end] = candidate
-                    choice[d][end] = start
-    if best[num_devices][n] == INF:
-        raise ValueError("no feasible partition found")
-
-    # Reconstruct stage boundaries.
-    boundaries = [n]
-    cursor = n
-    for d in range(num_devices, 0, -1):
-        cursor = choice[d][cursor]
-        boundaries.append(cursor)
-    boundaries.reverse()
-
-    stages = []
-    for device_index in range(num_devices):
-        start, end = boundaries[device_index], boundaries[device_index + 1]
-        is_last = device_index == num_devices - 1
-        stages.append(PipelineStage(
-            device_index=device_index,
-            op_names=tuple(schedulable[start:end]),
-            compute_s=prefix_compute[end] - prefix_compute[start],
-            outgoing_transfer_s=0.0 if (is_last and end == n) else transfer_at[end],
-        ))
-    return PipelinePlan(stages=tuple(stages))
+    return partition_pipeline_heterogeneous([deployed] * num_devices, link)
 
 
 # -- lowering to Deployments -------------------------------------------------
@@ -250,8 +207,7 @@ def lower_pipeline(scenarios: "Sequence[Scenario]", link: NetworkLink | str, *,
     sessions = [runner.session(scenario) for scenario in scenarios]
     plan = partition_pipeline_heterogeneous(
         [session.deployed for session in sessions], link)
-    bytes_at = [cut.transfer_bytes
-                for cut in cut_points(sessions[0].deployed.graph)]
+    bytes_at = [cut.transfer_bytes for cut in sessions[0].deployed.cut_points()]
     stages = []
     consumed = 0
     last = len(scenarios) - 1

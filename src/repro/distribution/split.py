@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.distribution.network import NetworkLink, resolve_link
-from repro.distribution.partition import CutPoint, cut_points
+from repro.distribution.partition import CutPoint
 from repro.engine.executor import InferenceSession
 from repro.frameworks.base import DeployedModel
 from repro.placement.deployment import Deployment, StageSpec
@@ -77,7 +77,7 @@ class SplitPlanner:
         self.link = link
         self._edge_times = self._per_op_times(edge)
         self._remote_times = self._per_op_times(remote)
-        self._cuts = cut_points(edge.graph)
+        self._cuts = edge.cut_points()
         self._plans: list[SplitPlan] | None = None
 
     def with_link(self, link: NetworkLink) -> SplitPlanner:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.core.errors import CompatibilityError, IncompatibleModelError, OutOfMemoryError
 from repro.core.quantity import MEBI
@@ -24,6 +25,9 @@ from repro.graphs.ops import Op, OpCategory
 from repro.graphs.tensor import DType
 from repro.hardware.compute import ComputeKind, ComputeUnit
 from repro.hardware.device import Device, DeviceCategory
+
+if TYPE_CHECKING:
+    from repro.distribution.partition import CutPoint
 
 # Single-core MAC/s of the reference desktop core the overhead constants
 # were expressed against (2.2 GHz x 16 MACs/cycle AVX2).
@@ -106,6 +110,8 @@ class DeployedModel:
     _weight_bytes: int | None = field(default=None, repr=False, compare=False)
     _peak_activation_bytes: int | None = field(default=None, repr=False,
                                                compare=False)
+    _cut_points: list[CutPoint] | None = field(default=None, repr=False,
+                                               compare=False)
 
     @property
     def is_paged(self) -> bool:
@@ -122,6 +128,17 @@ class DeployedModel:
         if self._peak_activation_bytes is None:
             self._peak_activation_bytes = self.graph.peak_activation_bytes()
         return self._peak_activation_bytes
+
+    def cut_points(self) -> list[CutPoint]:
+        """Every split location of the deployed graph
+        (:func:`repro.distribution.partition.cut_points`), memoized; each
+        call returns a fresh list of the shared frozen points."""
+        if self._cut_points is None:
+            # Lazy: repro.distribution imports this module.
+            from repro.distribution.partition import cut_points
+
+            self._cut_points = cut_points(self.graph)
+        return list(self._cut_points)
 
     def footprint_bytes(self) -> int:
         over = self.framework.overheads

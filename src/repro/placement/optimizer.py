@@ -9,8 +9,10 @@ price each as a :class:`~repro.placement.deployment.Deployment`.
 Pricing reuses the serving stack's own machinery: single-node candidates
 go through ONE :meth:`Runner.run_grid` sweep (deployments, plans and
 rooflines dedup across cells), and each split pair is priced by one
-prefix-sum sweep of the cut space, so enumerating every cut of a pair
-costs no more than pricing its best one.
+prefix-sum sweep of the cut space over the deployment's memoized cut
+list.  Only the cuts the search keeps — the latency-optimal one and the
+all-remote one — are lowered to Deployments; pipelines come from the
+vectorized bottleneck DP of :mod:`repro.distribution.pipeline`.
 
 The result is the Pareto frontier of (latency, energy, cost): latency is
 the deployment's end-to-end seconds, energy its active joules per
@@ -26,6 +28,7 @@ first three).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
@@ -56,6 +59,19 @@ class SLO:
     deadline_s: float | None = None
     min_throughput_rps: float | None = None
     max_energy_j: float | None = None
+
+    def __post_init__(self) -> None:
+        # NaN compares false against everything, so an unchecked NaN
+        # bound would silently admit every candidate.
+        for name in ("deadline_s", "min_throughput_rps", "max_energy_j"):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value) or value <= 0):
+                raise ValueError(
+                    f"SLO {name} must be a finite positive number, "
+                    f"got {value!r}")
 
     def check(self, deployment: Deployment) -> tuple[bool, str]:
         """(feasible, reason) for one deployment."""
@@ -217,9 +233,14 @@ def _split_deployments(model: str, edge_devices: Sequence[str],
 
     Each side runs its single-node-best framework (already picked by the
     grid sweep), so a pair costs one prefix-sum sweep of the cut space.
+    Only the two kept cuts are lowered: a plan's ``total_s`` sums the same
+    three floats in the same order as its deployment's ``latency_s``, so
+    the first-minimum plan lowers to the first-minimum deployment.
     """
-    from repro.distribution.split import split_deployments
+    from repro.distribution.network import resolve_link
+    from repro.distribution.split import _deployment_from_split, _split_context
 
+    network = resolve_link(link)
     best_scenario = {d.devices[0]: d.stages[0].scenario for d in singles}
     deployments: list[Deployment] = []
     for edge_device in edge_devices:
@@ -232,13 +253,13 @@ def _split_deployments(model: str, edge_devices: Sequence[str],
             remote_scenario = best_scenario.get(remote_device)
             if remote_scenario is None:
                 continue
-            swept = split_deployments(
-                edge_scenario, remote_scenario, link, runner=runner)
-            best = min(swept, key=lambda d: d.latency_s)
-            all_remote = swept[0]
-            deployments.append(best)
-            if all_remote is not best:
-                deployments.append(all_remote)
+            plans, schedulable, edge_side, remote_side = _split_context(
+                edge_scenario, remote_scenario, network, runner)
+            best = min(range(len(plans)), key=lambda i: plans[i].total_s)
+            for index in [best] if best == 0 else [best, 0]:
+                deployments.append(_deployment_from_split(
+                    plans[index], edge_scenario, remote_scenario,
+                    schedulable, network, edge_side, remote_side))
     return deployments
 
 
@@ -282,11 +303,15 @@ def search_placements(model: str, *,
         link: NetworkLink preset name pricing every transfer.
         slo: optional feasibility gate; the frontier is drawn over the
             feasible candidates when given.
-        max_pipeline_depth: deepest homogeneous pipeline to consider.
+        max_pipeline_depth: deepest homogeneous pipeline to consider
+            (1 = no pipelines).
         runner: scenario runner (defaults to the process-wide one).
     """
     from repro.distribution.network import resolve_link
 
+    if max_pipeline_depth < 1:
+        raise ValueError(
+            f"max_pipeline_depth must be at least 1, got {max_pipeline_depth}")
     if runner is None:
         runner = default_runner()
     if edge_devices is None:

@@ -64,6 +64,14 @@ class TestFleetVerb:
                      "--pool", "1x EdgeTPU:TFLite"]) == 2
         assert "cannot deploy" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rate", ["0", "-5", "nan", "inf"])
+    def test_bad_rate_is_a_usage_error(self, rate, capsys):
+        """--rate 0 used to fall back to 70% of capacity silently."""
+        assert main(["fleet", "--requests", "10", "--rate", rate]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --rate must be")
+
     def test_requests_and_horizon_are_exclusive(self, capsys):
         assert main(["fleet", "--requests", "10", "--horizon", "5"]) == 2
         assert main(["fleet"]) == 2

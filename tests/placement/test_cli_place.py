@@ -2,7 +2,10 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
+from repro.placement import SLO, search_placements
 
 PLACE_ARGV = ["place", "MobileNet-v2", "--device", "Raspberry Pi 3B",
               "--link", "lan", "--min-rps", "2"]
@@ -34,6 +37,25 @@ class TestPlaceVerb:
     def test_unknown_link_is_a_usage_error(self, capsys):
         assert main(["place", "MobileNet-v2", "--link", "carrier-pigeon"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--deadline-ms", "nan"], ["--deadline-ms", "-1"],
+        ["--deadline-ms", "inf"], ["--min-rps", "0"], ["--energy-j", "-2"],
+    ], ids=" ".join)
+    def test_bad_slo_bound_is_a_one_line_usage_error(self, flags, capsys):
+        argv = ["place", "MobileNet-v2", "--device", "Raspberry Pi 3B",
+                "--link", "lan", *flags]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: SLO ")
+        assert captured.err.count("\n") == 1
+
+    def test_zero_max_depth_is_a_usage_error(self, capsys):
+        argv = ["place", "MobileNet-v2", "--device", "Raspberry Pi 3B",
+                "--max-depth", "0"]
+        assert main(argv) == 2
+        assert "max_pipeline_depth must be at least 1" in capsys.readouterr().err
 
     def test_same_arguments_write_identical_bytes(self, tmp_path, capsys):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
@@ -75,3 +97,24 @@ class TestFleetPlacement:
         assert main(["fleet", "--placement", str(path),
                      "--requests", "10"]) == 2
         assert "no frontier points" in capsys.readouterr().err
+
+
+class TestSLOValidation:
+    @pytest.mark.parametrize("bound", [float("nan"), float("inf"), 0.0, -1.0,
+                                       "0.5", True])
+    @pytest.mark.parametrize("axis", ["deadline_s", "min_throughput_rps",
+                                      "max_energy_j"])
+    def test_bad_bounds_rejected(self, axis, bound):
+        with pytest.raises(ValueError, match=f"SLO {axis} must be"):
+            SLO(**{axis: bound})
+        with pytest.raises(ValueError, match=f"SLO {axis} must be"):
+            SLO.from_dict({axis: bound})
+
+    def test_good_bounds_round_trip(self):
+        slo = SLO(deadline_s=0.05, min_throughput_rps=2, max_energy_j=1.5)
+        assert SLO.from_dict(slo.to_dict()) == slo
+
+    def test_search_rejects_depth_below_one(self):
+        with pytest.raises(ValueError, match="max_pipeline_depth"):
+            search_placements("MobileNet-v2", edge_devices=("Raspberry Pi 3B",),
+                              max_pipeline_depth=0)
