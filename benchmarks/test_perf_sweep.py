@@ -2,10 +2,11 @@
 
 Not a paper artifact: this guards the perf_opt work on the sweep hot path
 (engine memoization + vectorized roofline + the batched sweep compiler).
-It runs the whole registry three ways —
+Every run goes through the sweep compiler; this exports the whole
+registry three ways —
 
-* **uncached** — memoization bypassed, every graph/deployment/plan rebuilt
-  one scalar cell at a time (the pre-compiler baseline);
+* **uncached** — memoization disabled: every graph, deployment, plan and
+  record is rebuilt, and no cell replays from a cache;
 * **compiled uncached** — caches enabled but empty: the suite grid is
   batched through the sweep compiler from a cold start;
 * **compiled warm** — caches populated: a re-export replays straight from

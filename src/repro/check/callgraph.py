@@ -8,7 +8,8 @@ ladder of precision tiers, stopping at the first that matches:
 2. a function or method defined in the caller's own module
    (``self.m()`` resolves against the caller's own class first),
 3. a name imported with ``from mod import name``,
-4. an attribute call through a module alias (``import a.b as c; c.f()``),
+4. an attribute call through a module alias (``import a.b as c; c.f()``
+   or ``from a import b as c; c.f()``),
 5. a method call on a *module-level instance* whose class is known
    (``CACHE = MemoCache(); CACHE.get_or_build(...)`` resolves to
    ``MemoCache.get_or_build``),
@@ -491,6 +492,12 @@ class CallGraph:
             if base.id in mnode.import_aliases:                # alias.f()
                 target = self._module_by_dotted.get(
                     mnode.import_aliases[base.id])
+                if target is not None and method in target.functions:
+                    return (target.functions[method].fid,)
+            if base.id in mnode.imported_names:    # `from pkg import module`
+                src, orig = mnode.imported_names[base.id]
+                target = self._module_by_dotted.get(
+                    f"{src}.{orig}" if src else orig)
                 if target is not None and method in target.functions:
                     return (target.functions[method].fid,)
             cls = self._instance_class(mnode, base.id)         # INSTANCE.m()

@@ -19,7 +19,7 @@ import argparse
 import json
 import math
 import sys
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from repro import (
     ReproError,
@@ -32,6 +32,37 @@ from repro import (
     run_experiment,
 )
 from repro.runtime import Scenario, default_runner
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one ``error:`` line and exit 2, like the verbs do."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"error: {message}\n")
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite number above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite positive number, got {text!r}")
+    return value
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
@@ -402,8 +433,12 @@ def _cmd_export(args: argparse.Namespace) -> int:
 def _cmd_diff(args: argparse.Namespace) -> int:
     from repro.harness.suite import compare_results, load_results
 
-    before = load_results(args.before)
-    after = load_results(args.after)
+    try:
+        before = load_results(args.before)
+        after = load_results(args.after)
+    except (OSError, ValueError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     differences = compare_results(before, after, rel_tolerance=args.tolerance)
     for difference in differences:
         print(difference.describe())
@@ -459,7 +494,7 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="Reproduction harness for 'Characterizing the Deployment "
         "of Deep Neural Networks on Commercial Edge Devices' (IISWC 2019).",
@@ -484,13 +519,13 @@ def build_parser() -> argparse.ArgumentParser:
     time_parser.add_argument("framework")
     time_parser.add_argument("--dtype", choices=("fp32", "fp16", "int8", "binary"),
                              default=None, help="deployment datatype")
-    time_parser.add_argument("--batch", type=int, default=1,
+    time_parser.add_argument("--batch", type=_positive_int, default=1,
                              help="batch size (default 1, the edge regime)")
     time_parser.add_argument("--power-mode", default="default",
                              help="DVFS operating point (e.g. MAXN)")
     time_parser.add_argument("--container", action="store_true",
                              help="run inside the Docker profile (Sec. VI-D)")
-    time_parser.add_argument("--runs", type=int, default=None,
+    time_parser.add_argument("--runs", type=_positive_int, default=None,
                              help="timing-loop length (default: paper policy)")
     time_parser.add_argument("--no-timer", action="store_true",
                              help="print the noise-free plan latency only")
@@ -618,9 +653,9 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_parser.add_argument("--replicas", type=int, default=2,
                               help="replica chains for --placement "
                                    "(default 2)")
-    fleet_parser.add_argument("--requests", type=int, default=None,
+    fleet_parser.add_argument("--requests", type=_positive_int, default=None,
                               help="simulate exactly this many requests")
-    fleet_parser.add_argument("--horizon", type=float, default=None,
+    fleet_parser.add_argument("--horizon", type=_positive_float, default=None,
                               metavar="SECONDS",
                               help="simulate this horizon instead of a count")
     fleet_parser.add_argument("--rate", type=float, default=None,

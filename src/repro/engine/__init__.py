@@ -13,7 +13,7 @@ into one array program.
 """
 
 from repro.engine.executor import EngineConfig, ExecutionPlan, InferenceSession, OpTiming
-from repro.engine.roofline import RooflineInputs, lower_rooflines_s, time_op, time_ops
+from repro.engine.roofline import RooflineInputs, lower_rooflines_s, time_op
 from repro.engine.calibration import ANCHORS, efficiency_scale
 from repro.engine.cache import (
     cache_stats,
@@ -56,5 +56,4 @@ __all__ = [
     "reset_compile_stats",
     "set_caching",
     "time_op",
-    "time_ops",
 ]

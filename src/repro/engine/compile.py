@@ -1,30 +1,26 @@
-"""Batched sweep compiler: lower a scenario grid into array programs.
+"""Sweep compiler: the one path from scenarios to priced plans.
 
-The harness's figures and sweeps price the same (model, device, framework)
-pipeline cell by cell, each cell walking graph -> deploy -> plan through
-Python objects.  This module takes the whole grid of
-:class:`repro.runtime.Scenario` cells at once and compiles it:
+Every :class:`repro.runtime.RunRecord` comes out of this module — a whole
+figure grid from ``Runner.run_grid``, a single cell from ``Runner.run``.
+A grid compiles in three phases:
 
-* **gather** — walk the cells in order, deduplicating deployments (by
-  deploy key and power mode) and plan specs (by deployment and batch
-  size), recording the same deploy-cache outcome sequence the scalar
-  Runner would have produced and re-using plan-cache entries where they
+* **gather** — walk the cells in order, deploying each unique
+  (deploy key, power mode) once through :func:`deploy_scenario` and
+  deduplicating plan specs by (deployment, batch size), recording each
+  cell's deploy-cache outcome and re-using plan-cache entries where they
   already exist;
-* **lower** — concatenate every unresolved spec's per-op quantities
-  (MACs, weight bytes, activation I/O, kernel efficiency) into parallel
-  float64 arrays and evaluate the roofline for the entire grid through
-  ONE call to :func:`repro.engine.roofline.lower_rooflines_s`, then split
-  the result back into per-spec :class:`ExecutionPlan`s (written through
-  to the plan cache when caching is enabled);
-* **scatter** — derive the per-cell quantities a
-  :class:`repro.runtime.RunRecord` carries (plan latency, utilization,
-  power draw, init time, weight bytes) once per unique plan and fan them
-  back out to every cell that shares it.
+* **lower** — price every unresolved spec through ONE roofline array
+  program (:func:`repro.engine.executor.lower_specs`, the same function
+  a lone :class:`InferenceSession` uses), writing the plans through to
+  the plan cache when caching is enabled;
+* **scatter** — derive the per-cell quantities a record carries (plan
+  latency, utilization, power draw, init time, weight bytes) once per
+  unique plan and fan them back out to every cell that shares it.
 
-Every float comes out of the identical IEEE-754 operations in the
-identical order as the scalar path, so compiled grids are bit-identical
-to per-cell :meth:`Runner.run` — the equivalence suite diffs them at
-zero tolerance.
+The array program runs every op through the same IEEE-754 operations, in
+the same order, as the scalar roofline :func:`repro.engine.roofline.time_op`,
+so a cell's numbers do not depend on which other cells share its grid;
+the equivalence suite pins both at zero tolerance.
 
 Purity contract (enforced as ARCH005): this module never constructs
 sessions or timers, never draws random numbers — even seeded — and never
@@ -39,8 +35,6 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-import numpy as np
-
 from repro.core.errors import ReproError
 from repro.engine import cache as engine_cache
 from repro.engine.executor import (
@@ -49,10 +43,10 @@ from repro.engine.executor import (
     PlanSpec,
     check_batch_memory,
     deployed_init_time_s,
+    lower_specs,
     plan_utilization,
     resolve_plan_spec,
 )
-from repro.engine.roofline import OpTiming, lower_rooflines_s
 from repro.runtime.scenario import Scenario
 
 
@@ -132,6 +126,7 @@ class CompiledCell:
     power_w: float | None = None
     weight_bytes: int | None = None
     cpu_scale: float | None = None
+    device_name: str | None = None
 
     @property
     def ok(self) -> bool:
@@ -164,30 +159,45 @@ class GridProgram:
     stats: CompileStats = field(default_factory=CompileStats)
 
 
-def _deploy(scenario: Scenario):
-    """Deploy one unique cell, mirroring ``Runner.deploy`` exactly."""
-    if scenario.is_default_runtime:
+def deploy_scenario(scenario: Scenario, graph: Any = None):
+    """Deploy one scenario: the only place a scenario becomes a deployment.
+
+    Stock-graph scenarios at the default power mode go through the deploy
+    memo cache (:func:`repro.engine.cache.cached_deploy`).  An explicit
+    ``graph`` (e.g. a pruned one) or a non-default power mode deploys
+    directly; a non-default power mode first rebuilds the device at that
+    operating point.
+    """
+    if graph is None and scenario.is_default_runtime:
         return engine_cache.cached_deploy(
             scenario.model, scenario.device, scenario.framework,
             dtype=scenario.dtype)
-    from repro.hardware import apply_operating_point, load_device
     from repro.frameworks import load_framework
-    from repro.models import load_model
+    from repro.hardware import apply_operating_point, load_device
 
-    device = apply_operating_point(load_device(scenario.device),
-                                   scenario.power_mode)
+    device = load_device(scenario.device)
+    if not scenario.is_default_runtime:
+        device = apply_operating_point(device, scenario.power_mode)
+    if graph is None:
+        from repro.models import load_model
+
+        graph = load_model(scenario.model)
     return load_framework(scenario.framework).deploy(
-        load_model(scenario.model), device, dtype=scenario.dtype)
+        graph, device, dtype=scenario.dtype)
 
 
-def gather(scenarios: Sequence[Scenario]) -> GridProgram:
+def gather(scenarios: Sequence[Scenario], graph: Any = None) -> GridProgram:
     """Phase 1: dedup deployments and plan specs across the grid.
 
-    Cells are visited in input order and the recorded deploy-cache
-    outcomes reproduce the scalar Runner's sequence: the first cell to
-    need a deployment sees a ``"miss"`` (or ``"hit"`` when a previous
-    grid or scalar run already cached it), every later cell sharing it
-    sees a ``"hit"``, and uncacheable cells see ``"bypass"``.
+    Cells are visited in input order.  The first cell to need a deployment
+    records a deploy-cache ``"miss"`` (or ``"hit"`` when an earlier grid
+    already cached it), every later cell sharing it a ``"hit"``, and
+    uncacheable cells ``"bypass"``.
+
+    Args:
+        graph: an explicit (e.g. pruned) graph every cell deploys in place
+            of its zoo model.  Such deployments bypass the deploy and plan
+            caches, so every cell reports ``"bypass"``.
     """
     from repro.engine.calibration import efficiency_scale as resolve_scale
 
@@ -198,7 +208,8 @@ def gather(scenarios: Sequence[Scenario]) -> GridProgram:
 
     for scenario in scenarios:
         dkey = (scenario.deploy_key, scenario.power_mode.lower())
-        cacheable = scenario.is_default_runtime and engine_cache.caching_enabled()
+        cacheable = (graph is None and scenario.is_default_runtime
+                     and engine_cache.caching_enabled())
         if not cacheable:
             outcome = "bypass"
         elif engine_cache.DEPLOY_CACHE.contains(scenario.deploy_key):
@@ -210,7 +221,7 @@ def gather(scenarios: Sequence[Scenario]) -> GridProgram:
             stats.unique_deploys += 1
             entry = _PlanEntry()
             try:
-                entry.deployed = _deploy(scenario)
+                entry.deployed = deploy_scenario(scenario, graph)
             except ReproError as error:
                 entry.error = error
                 stats.deploy_failures += 1
@@ -229,7 +240,7 @@ def _resolve_entry(base: _PlanEntry, batch_size: int, resolve_scale,
                    stats: CompileStats) -> _PlanEntry:
     """Resolve one unique (deployment, batch) into a plan or a spec.
 
-    Mirrors ``InferenceSession.__init__`` step for step: calibration
+    Follows ``InferenceSession.__init__`` step for step: calibration
     resolution, then the batch memory check, then the plan-cache lookup,
     and only then spec resolution for plans the lowering phase must build.
     """
@@ -261,94 +272,20 @@ def _resolve_entry(base: _PlanEntry, batch_size: int, resolve_scale,
 def lower(program: GridProgram) -> None:
     """Phase 2: price every unresolved spec through one array program.
 
-    Per-op quantities from every pending spec are concatenated into
-    parallel (ops x cells) arrays, evaluated elementwise in a single
-    :func:`lower_rooflines_s` call, and split back into per-spec
-    :class:`ExecutionPlan`s — bit-identical to pricing each spec alone,
-    since the program is elementwise.  Plans with a cacheable key are
-    written through to the shared plan cache.
+    The pending specs go through :func:`lower_specs` together; plans with a
+    cacheable key are written through to the shared plan cache.
     """
     pending = [entry for entry in program.plans.values()
                if entry.spec is not None]
     if not pending:
         return
-    macs_parts, eff_parts, weight_parts, io_parts = [], [], [], []
-    peak_parts, batch_parts, wbw_parts, bw_parts, overhead_parts = [], [], [], [], []
-    counts = []
-    for entry in pending:
-        spec = entry.spec
-        ops = spec.ops
-        n = len(ops)
-        counts.append(n)
-        sparsity = spec.exploit_sparsity
-        macs_parts.append(np.array([op.effective_macs(sparsity) for op in ops],
-                                   dtype=np.float64))
-        eff_parts.append(np.asarray(spec.efficiencies, dtype=np.float64))
-        if spec.include_memory_term:
-            weight_parts.append(np.array(
-                [op.traffic_weight_bytes(sparsity) for op in ops],
-                dtype=np.float64))
-            io_parts.append(np.array(
-                [op.input_bytes() + op.output_bytes() for op in ops],
-                dtype=np.float64))
-        else:
-            # Zero traffic makes the memory quotient exactly 0.0, the same
-            # as the scalar path's ablation branch.
-            weight_parts.append(np.zeros(n))
-            io_parts.append(np.zeros(n))
-        inputs = spec.inputs
-        peak_parts.append(np.full(n, inputs.peak_macs_per_s))
-        batch_parts.append(np.full(n, spec.batch_size, dtype=np.float64))
-        wbw_parts.append(np.full(n, inputs.weight_bandwidth_bytes_per_s))
-        bw_parts.append(np.full(n, inputs.memory_bandwidth_bytes_per_s))
-        overhead_parts.append(np.full(
-            n, inputs.dispatch_overhead_s + spec.per_op_overhead_s))
-
-    macs = np.concatenate(macs_parts) if macs_parts else np.zeros(0)
-    efficiency = np.concatenate(eff_parts) if eff_parts else np.zeros(0)
-    if macs.size and np.any(efficiency <= 0):
-        worst = float(efficiency.min())
-        raise ValueError(f"efficiency must be positive, got {worst}")
-    compute_s, memory_s, dispatch_s = lower_rooflines_s(
-        macs,
-        efficiency,
-        np.concatenate(peak_parts) if peak_parts else np.zeros(0),
-        np.concatenate(weight_parts) if weight_parts else np.zeros(0),
-        np.concatenate(io_parts) if io_parts else np.zeros(0),
-        np.concatenate(batch_parts) if batch_parts else np.ones(0),
-        np.concatenate(wbw_parts) if wbw_parts else np.ones(0),
-        np.concatenate(bw_parts) if bw_parts else np.ones(0),
-        np.concatenate(overhead_parts) if overhead_parts else np.zeros(0),
-    )
+    lowered = lower_specs([entry.spec for entry in pending])
     stats = program.stats
     stats.array_programs += 1
-    stats.ops_lowered += int(macs.size)
-    stats.macs_lowered += float(macs.sum())
-    stats.bytes_lowered += float(
-        np.concatenate(weight_parts).sum() + np.concatenate(io_parts).sum()
-    ) if weight_parts else 0.0
-
-    compute_list = compute_s.tolist()
-    memory_list = memory_s.tolist()
-    dispatch_list = dispatch_s.tolist()
-    offset = 0
-    for entry, n in zip(pending, counts):
-        spec = entry.spec
-        timings = [
-            OpTiming(op=op, compute_s=c, memory_s=m, dispatch_s=d)
-            for op, c, m, d in zip(
-                spec.ops,
-                compute_list[offset:offset + n],
-                memory_list[offset:offset + n],
-                dispatch_list[offset:offset + n],
-            )
-        ]
-        offset += n
-        plan = ExecutionPlan(
-            timings=timings,
-            session_overhead_s=spec.session_overhead_s,
-            input_transfer_s=spec.input_transfer_s,
-        )
+    stats.ops_lowered += sum(len(entry.spec.ops) for entry in pending)
+    stats.macs_lowered += lowered.macs
+    stats.bytes_lowered += lowered.traffic_bytes
+    for entry, plan in zip(pending, lowered.plans):
         if entry.plan_key is not None:
             plan = engine_cache.PLAN_CACHE.store(entry.plan_key, plan)
         entry.plan = plan
@@ -382,6 +319,7 @@ def scatter(program: GridProgram) -> list[CompiledCell]:
             power_w=entry.power_w,
             weight_bytes=entry.weight_bytes,
             cpu_scale=entry.deployed.cpu_scale,
+            device_name=entry.deployed.device.name,
         ))
     return cells
 

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from repro.core.errors import OutOfMemoryError
 from repro.core.quantity import Seconds
@@ -21,7 +23,7 @@ from repro.engine.roofline import (
     ON_CHIP_BANDWIDTH_MULTIPLIER,
     OpTiming,
     RooflineInputs,
-    time_ops,
+    lower_rooflines_s,
 )
 from repro.graphs.tensor import DType
 
@@ -129,9 +131,9 @@ class PlanSpec:
 
     The resolution work — op schedule, per-op kernel efficiencies, roofline
     constants, framework overheads — is separated from the arithmetic so
-    the sweep compiler (:mod:`repro.engine.compile`) can gather many specs
-    and lower them through one array program.  ``plan_from_spec`` is the
-    single-spec path the session uses; both produce bit-identical plans.
+    many specs can be priced through one array program
+    (:func:`lower_specs`): a whole grid in the sweep compiler, one spec in
+    a session.
     """
 
     ops: tuple
@@ -246,22 +248,99 @@ def resolve_plan_spec(deployed: DeployedModel, config: EngineConfig,
     )
 
 
-def plan_from_spec(spec: PlanSpec) -> ExecutionPlan:
-    """Price one resolved spec through the vectorized roofline."""
-    timings = time_ops(
-        spec.ops,
-        spec.inputs,
-        spec.efficiencies,
-        exploit_sparsity=spec.exploit_sparsity,
-        per_op_overhead_s=spec.per_op_overhead_s,
-        batch_size=spec.batch_size,
-        include_memory_term=spec.include_memory_term,
-    )
-    return ExecutionPlan(
-        timings=timings,
-        session_overhead_s=spec.session_overhead_s,
-        input_transfer_s=spec.input_transfer_s,
-    )
+class LoweredSpecs(NamedTuple):
+    """The plans :func:`lower_specs` built, plus what the program priced."""
+
+    plans: list[ExecutionPlan]
+    macs: float
+    traffic_bytes: float
+
+
+def lower_specs(specs: Sequence[PlanSpec]) -> LoweredSpecs:
+    """Price resolved specs into plans through one roofline array program.
+
+    Per-op quantities of every spec (MACs, weight bytes, activation I/O,
+    kernel efficiency) and the per-spec constants are laid out in parallel
+    float64 arrays and evaluated elementwise in a single
+    :func:`lower_rooflines_s` call, then split back into one
+    :class:`ExecutionPlan` per spec.  Every element runs the same IEEE-754
+    operations in the same order as :func:`repro.engine.roofline.time_op`,
+    so a spec's plan is bit-identical however many specs share the program.
+
+    Raises:
+        ValueError: a spec's batch size is below 1, its efficiencies do not
+            align with its ops, or any efficiency is not positive.  A spec
+            with no ops is allowed and yields an empty plan.
+    """
+    macs_parts, eff_parts, weight_parts, io_parts = [], [], [], []
+    counts, peaks, batches, weight_bws, bws, overheads = [], [], [], [], [], []
+    for spec in specs:
+        ops = spec.ops
+        if spec.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {spec.batch_size}")
+        if len(spec.efficiencies) != len(ops):
+            raise ValueError(
+                f"got {len(spec.efficiencies)} efficiencies for {len(ops)} ops")
+        sparsity = spec.exploit_sparsity
+        macs_parts.append(np.array([op.effective_macs(sparsity) for op in ops],
+                                   dtype=np.float64))
+        eff_parts.append(np.asarray(spec.efficiencies, dtype=np.float64))
+        if spec.include_memory_term:
+            weight_parts.append(np.array(
+                [op.traffic_weight_bytes(sparsity) for op in ops],
+                dtype=np.float64))
+            io_parts.append(np.array(
+                [op.input_bytes() + op.output_bytes() for op in ops],
+                dtype=np.float64))
+        else:
+            # Zero traffic makes the memory quotient exactly 0.0, the same
+            # as time_op's ablation branch.
+            weight_parts.append(np.zeros(len(ops)))
+            io_parts.append(np.zeros(len(ops)))
+        inputs = spec.inputs
+        counts.append(len(ops))
+        peaks.append(inputs.peak_macs_per_s)
+        batches.append(spec.batch_size)
+        weight_bws.append(inputs.weight_bandwidth_bytes_per_s)
+        bws.append(inputs.memory_bandwidth_bytes_per_s)
+        overheads.append(inputs.dispatch_overhead_s + spec.per_op_overhead_s)
+    if not counts:
+        return LoweredSpecs([], 0.0, 0.0)
+
+    def per_op(values: list) -> np.ndarray:
+        return np.repeat(np.asarray(values, dtype=np.float64), counts)
+
+    macs = np.concatenate(macs_parts)
+    efficiency = np.concatenate(eff_parts)
+    if np.any(efficiency <= 0):
+        worst = float(efficiency.min())
+        raise ValueError(f"efficiency must be positive, got {worst}")
+    weight_bytes = np.concatenate(weight_parts)
+    io_bytes = np.concatenate(io_parts)
+    # 0 MACs over a positive peak is exactly 0.0, matching time_op's
+    # short-circuit for MAC-free ops.
+    compute_s, memory_s, dispatch_s = lower_rooflines_s(
+        macs, efficiency, per_op(peaks), weight_bytes, io_bytes,
+        per_op(batches), per_op(weight_bws), per_op(bws), per_op(overheads))
+
+    compute_list = compute_s.tolist()
+    memory_list = memory_s.tolist()
+    dispatch_list = dispatch_s.tolist()
+    plans = []
+    offset = 0
+    for spec, n in zip(specs, counts):
+        window = slice(offset, offset + n)
+        offset += n
+        plans.append(ExecutionPlan(
+            timings=[OpTiming(op=op, compute_s=c, memory_s=m, dispatch_s=d)
+                     for op, c, m, d in zip(spec.ops, compute_list[window],
+                                            memory_list[window],
+                                            dispatch_list[window])],
+            session_overhead_s=spec.session_overhead_s,
+            input_transfer_s=spec.input_transfer_s,
+        ))
+    return LoweredSpecs(plans, float(macs.sum()),
+                        float(weight_bytes.sum() + io_bytes.sum()))
 
 
 def plan_utilization(plan: ExecutionPlan) -> float:
@@ -326,8 +405,8 @@ class InferenceSession:
         return engine_cache.PLAN_CACHE.get_or_build(key, self._compute_plan)
 
     def _compute_plan(self) -> ExecutionPlan:
-        return plan_from_spec(
-            resolve_plan_spec(self.deployed, self.config, self.efficiency_scale))
+        spec = resolve_plan_spec(self.deployed, self.config, self.efficiency_scale)
+        return lower_specs([spec]).plans[0]
 
     # -- user-facing quantities ---------------------------------------------
     @property

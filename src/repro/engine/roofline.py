@@ -18,9 +18,6 @@ every cross-platform shape in the evaluation (Section VI-C).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
 
 from repro.graphs.ops import Op
 
@@ -79,6 +76,10 @@ def time_op(
 ) -> OpTiming:
     """Time one op under the roofline model, PER INFERENCE.
 
+    The scalar reference for :func:`lower_rooflines_s`: plans are priced
+    through the array program, and the property tests pin every element
+    of it to this function bit for bit.
+
     Args:
         op: the graph op (fused-away ops should be filtered by the caller).
         inputs: resolved device constants.
@@ -127,12 +128,11 @@ def lower_rooflines_s(
 ):
     """The roofline array program: elementwise timing over parallel arrays.
 
-    Every argument broadcasts, so the same program prices one plan (scalar
-    device constants against per-op arrays) or a whole scenario grid
-    (per-op arrays for every quantity, concatenated across plans).  Each
-    element goes through the identical IEEE-754 double operations as
-    :func:`time_op`, in the same order, so results are bit-identical to
-    the scalar path no matter how ops are batched.
+    Every argument broadcasts; :func:`repro.engine.executor.lower_specs`
+    passes per-op arrays for every quantity, concatenated across the plans
+    it prices.  Each element goes through the identical IEEE-754 double
+    operations as :func:`time_op`, in the same order, so results are
+    bit-identical to it no matter how ops are batched.
 
     Args:
         macs / efficiency / weight_bytes / io_bytes: per-op gathers.
@@ -154,67 +154,3 @@ def lower_rooflines_s(
     )
     dispatch_s = overhead_s / batch_size
     return compute_s, memory_s, dispatch_s
-
-
-def time_ops(
-    ops: Sequence[Op],
-    inputs: RooflineInputs,
-    efficiencies: Sequence[float],
-    exploit_sparsity: bool = False,
-    per_op_overhead_s: float = 0.0,
-    batch_size: int = 1,
-    include_memory_term: bool = True,
-) -> list[OpTiming]:
-    """Vectorized :func:`time_op`: the whole plan's roofline in one pass.
-
-    Gathers (MACs, weight bytes, activation bytes, efficiency) into numpy
-    arrays and evaluates the per-op formula elementwise instead of once per
-    op in Python.  Every intermediate uses the same IEEE-754 double
-    operations in the same order as the scalar path, so the returned
-    timings agree with ``time_op`` **exactly** (bit-identical), which the
-    property suite asserts.
-
-    Args:
-        ops: schedulable ops in plan order.
-        efficiencies: per-op positive efficiency, aligned with ``ops``.
-        (remaining arguments as in :func:`time_op`)
-    """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if len(efficiencies) != len(ops):
-        raise ValueError(
-            f"got {len(efficiencies)} efficiencies for {len(ops)} ops"
-        )
-    if not ops:
-        return []
-    efficiency = np.asarray(efficiencies, dtype=np.float64)
-    if np.any(efficiency <= 0):
-        worst = float(efficiency.min())
-        raise ValueError(f"efficiency must be positive, got {worst}")
-    macs = np.array([op.effective_macs(exploit_sparsity) for op in ops],
-                    dtype=np.float64)
-    if include_memory_term:
-        weight_bytes = np.array(
-            [op.traffic_weight_bytes(exploit_sparsity) for op in ops],
-            dtype=np.float64)
-        io_bytes = np.array([op.input_bytes() + op.output_bytes() for op in ops],
-                            dtype=np.float64)
-    else:
-        # Zero traffic makes the quotient exactly 0.0 — the scalar branch.
-        weight_bytes = io_bytes = np.zeros(len(ops))
-    # 0 MACs / positive peak is exactly 0.0, matching the scalar short-circuit.
-    compute_s, memory_s, dispatch_s = lower_rooflines_s(
-        macs,
-        efficiency,
-        inputs.peak_macs_per_s,
-        weight_bytes,
-        io_bytes,
-        batch_size,
-        inputs.weight_bandwidth_bytes_per_s,
-        inputs.memory_bandwidth_bytes_per_s,
-        inputs.dispatch_overhead_s + per_op_overhead_s,
-    )
-    return [
-        OpTiming(op=op, compute_s=c, memory_s=m, dispatch_s=dispatch_s)
-        for op, c, m in zip(ops, compute_s.tolist(), memory_s.tolist())
-    ]

@@ -10,7 +10,7 @@ the generators hit the record cache.
 
 Declaring a superset is safe: precompiled cells the generator never reads
 cost one shared array-program row each.  Declaring too little is also safe:
-missing cells fall back to the scalar path with identical results.  The
+missing cells compile one at a time in ``Runner.run`` with identical results.  The
 grid/walk agreement is pinned by the harness identity tests.
 """
 

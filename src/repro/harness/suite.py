@@ -10,7 +10,7 @@ Exports are compiled, not just cached: before the experiments run,
 to the sweep compiler in one batch (``Runner.run_grid``), and finished
 payloads are memoized per experiment id, so a warm re-export is a straight
 cache read.  Both layers are observationally invisible — the identity suite
-diffs compiled against scalar exports at zero tolerance.
+diffs precompiled against cell-by-cell exports at zero tolerance.
 """
 
 from __future__ import annotations

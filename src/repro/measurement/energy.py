@@ -31,13 +31,26 @@ class EnergyMeter:
         return PowerAnalyzer(seed=self.seed)
 
     def measure(self, session: InferenceSession, loop_seconds: float = 30.0) -> Measurement:
-        """Energy per inference (joules) over a recorded power trace."""
+        """Energy per inference (joules) of a session's timing loop."""
         device = session.deployed.device
-        true_power = device.power.power(session.utilization)
-        meter = self.instrument_for(device.name)
-        samples = meter.record(lambda _t: true_power, loop_seconds)
+        return self.energy_per_inference(
+            device.name, device.power.power(session.utilization),
+            session.latency_s, loop_seconds)
+
+    def energy_per_inference(self, device_name: str, power_w: float,
+                             latency_s: float,
+                             loop_seconds: float = 30.0) -> Measurement:
+        """Energy per inference (joules) over a recorded power trace.
+
+        Args:
+            device_name: the deployed device, which picks the instrument.
+            power_w: the device's true draw while inferencing.
+            latency_s: seconds per inference of the timed loop.
+        """
+        meter = self.instrument_for(device_name)
+        samples = meter.record(lambda _t: power_w, loop_seconds)
         mean_power = average_power_w(samples)
-        inferences = loop_seconds / session.latency_s
+        inferences = loop_seconds / latency_s
         energy_per_inference = mean_power * loop_seconds / inferences
         return Measurement(
             value=energy_per_inference,

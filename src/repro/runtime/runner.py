@@ -1,23 +1,23 @@
 """Runner: the one audited measurement path for every harness consumer.
 
-Every figure, validation claim, sweep and CLI verb used to hand-roll the
-same pipeline — deploy, build a session, seed a timer, catch ReproError —
-each with its own string-triple plumbing.  The Runner owns that pipeline:
+Every figure, validation claim, sweep and CLI verb measures a cell the
+paper's way — deploy, price the plan, run the Section V timing loop — and
+the Runner owns that method.  There is one execution path: a single cell
+(:meth:`Runner.run`) is the one-cell case of a grid (:meth:`Runner.run_grid`),
+and both go through the sweep compiler (:mod:`repro.engine.compile`):
 
-* deployments go through the engine memo cache whenever the scenario is
-  cacheable (and record whether they hit);
-* sessions honour the scenario's batch size, power mode and container flag;
-* the paper-methodology timer is seeded from the scenario's canonical key,
-  reproducing the exact per-cell noise streams the harness has always had;
-* failures come back as :class:`RunRecord` data, classified by the Table V
-  taxonomy, instead of propagating control flow.
+* finished records come straight out of the engine's record cache, so
+  re-running a cell, a grid or any overlapping figure is a lookup;
+* the remaining cells are compiled as one unit: deployments and plans are
+  shared across cells and the rooflines are lowered into one array
+  program;
+* each compiled cell becomes a :class:`RunRecord` in one place, which
+  applies the container tax, the timing loop seeded from the scenario's
+  canonical key (the exact per-cell noise streams the harness has always
+  had) and, when asked, an energy meter;
+* failures come back as :class:`RunRecord` data, classified by the
+  Table V taxonomy, instead of propagating control flow.
 
-``run_grid`` hands a whole batch of scenarios to the sweep compiler
-(:mod:`repro.engine.compile`): deployments and plans are deduplicated
-across the grid, the rooflines are lowered into one array program, and the
-results are scattered back into per-cell records that are bit-identical to
-running each cell alone.  Finished records land in the engine's record
-cache, so re-running a grid (or any overlapping figure) is a lookup.
 ``run_cells`` routes serial batches through ``run_grid`` and fans larger
 ones across a thread or process pool with order-preserving results.
 """
@@ -32,14 +32,9 @@ from typing import Any, Iterable, Sequence
 from repro.core.errors import ReproError, UnknownEntryError
 from repro.core.quantity import Seconds
 from repro.core.registry import canonical_name
-from repro.engine.cache import (
-    DEPLOY_CACHE,
-    RECORD_CACHE,
-    cached_deploy,
-    caching_enabled,
-)
+from repro.engine.cache import RECORD_CACHE, caching_enabled
 from repro.engine.executor import EngineConfig, InferenceSession
-from repro.measurement.energy import EnergyMeter, active_power_w
+from repro.measurement.energy import EnergyMeter
 from repro.measurement.timer import InferenceTimer
 from repro.runtime.record import (
     FailureRecord,
@@ -81,47 +76,16 @@ class Runner:
     container: Container = DEFAULT_CONTAINER
 
     # -- pipeline stages ---------------------------------------------------
-    def deploy(self, scenario: Scenario, graph: Any = None) -> tuple[Any, str]:
-        """Deploy the scenario; returns (deployed, cache outcome).
-
-        Cacheable scenarios (stock power mode, no explicit graph) go
-        through :func:`repro.engine.cache.cached_deploy`; everything else
-        deploys directly and reports ``"bypass"``.
-        """
-        from repro.frameworks import load_framework
-        from repro.hardware import apply_operating_point, load_device
-
-        if graph is None and scenario.is_default_runtime:
-            if caching_enabled():
-                outcome = "hit" if DEPLOY_CACHE.contains(scenario.deploy_key) else "miss"
-            else:
-                outcome = "bypass"
-            return cached_deploy(scenario.model, scenario.device,
-                                 scenario.framework, dtype=scenario.dtype), outcome
-
-        device = load_device(scenario.device)
-        if not scenario.is_default_runtime:
-            device = apply_operating_point(device, scenario.power_mode)
-        if graph is None:
-            from repro.models import load_model
-
-            graph = load_model(scenario.model)
-        deployed = load_framework(scenario.framework).deploy(
-            graph, device, dtype=scenario.dtype)
-        return deployed, "bypass"
-
     def session(self, scenario: Scenario, graph: Any = None):
         """Deploy and build the (possibly containerized) session."""
-        session, _ = self._session(scenario, graph)
-        return session
+        from repro.engine.compile import deploy_scenario
 
-    def _session(self, scenario: Scenario, graph: Any = None):
-        deployed, cache_outcome = self.deploy(scenario, graph)
-        config = EngineConfig(batch_size=scenario.batch_size)
-        session = InferenceSession(deployed, config=config)
+        session = InferenceSession(
+            deploy_scenario(scenario, graph),
+            config=EngineConfig(batch_size=scenario.batch_size))
         if scenario.containerized:
             session = self.container.wrap(session)
-        return session, cache_outcome
+        return session
 
     def timer(self, scenario: Scenario) -> InferenceTimer:
         """The paper-methodology timer seeded for this cell."""
@@ -130,23 +94,12 @@ class Runner:
     # -- measurement -------------------------------------------------------
     def measure(self, scenario: Scenario, use_timer: bool = True,
                 graph: Any = None) -> Seconds:
-        """Seconds per inference; raises :class:`ReproError` on failure.
+        """Seconds per inference of :meth:`run`'s record.
 
-        The exact semantics of the old ``measure_latency_s`` helper: with
-        ``use_timer`` the paper's timing loop runs on the cell-seeded
-        timer, without it the noise-free plan latency is returned.
+        Raises:
+            ReproError: naming the scenario, when the cell fails.
         """
-        if graph is None and caching_enabled():
-            found, record = RECORD_CACHE.cached_value(
-                self._record_key(scenario, use_timer, None))
-            if found and record.ok:
-                return Seconds(record.latency_s)
-            # Cached failures fall through so the original error type
-            # propagates from the deploy pipeline, exactly as before.
-        session = self.session(scenario, graph)
-        if use_timer:
-            return Seconds(self.timer(scenario).measure(session))
-        return Seconds(session.latency_s)
+        return self.run(scenario, use_timer=use_timer, graph=graph).latency()
 
     def run(self, scenario: Scenario, *, use_timer: bool = True,
             graph: Any = None, energy_meter: EnergyMeter | None = None,
@@ -157,72 +110,13 @@ class Runner:
         Args:
             use_timer: run the Section V timing loop (seeded per cell);
                 otherwise record the noise-free plan latency.
-            graph: explicit (e.g. pruned) graph; bypasses the memo cache.
+            graph: explicit (e.g. pruned) graph; bypasses the memo caches.
             energy_meter: when given, also measure energy per inference.
             n_runs: timing-loop length override (default: paper policy).
         """
-        cacheable = graph is None and energy_meter is None and caching_enabled()
-        if cacheable:
-            key = self._record_key(scenario, use_timer, n_runs)
-            found, cached = RECORD_CACHE.cached_value(key)
-            if found:
-                return self._refresh_provenance(cached)
-        record = self._run_uncached(scenario, use_timer=use_timer, graph=graph,
-                                    energy_meter=energy_meter, n_runs=n_runs)
-        if cacheable:
-            record = RECORD_CACHE.store(key, record)
+        (record,) = self._run_compiled([scenario], use_timer, n_runs=n_runs,
+                                       graph=graph, energy_meter=energy_meter)
         return record
-
-    def _run_uncached(self, scenario: Scenario, *, use_timer: bool,
-                      graph: Any, energy_meter: EnergyMeter | None,
-                      n_runs: int | None) -> RunRecord:
-        """The scalar measurement pipeline behind :meth:`run`."""
-        config = EngineConfig(batch_size=scenario.batch_size)
-        try:
-            session, cache_outcome = self._session(scenario, graph)
-            stats = None
-            if use_timer:
-                measurement = self.timer(scenario).measure(session, n_runs)
-                stats = LatencyStats.from_measurement(measurement)
-                latency_s = measurement.value
-            else:
-                latency_s = session.latency_s
-            plan = session.plan
-            deployed = session.deployed
-            overhead = session.overhead_fraction if scenario.containerized else None
-            energy_j = None
-            if energy_meter is not None:
-                energy_j = float(energy_meter.measure(session))
-        except ReproError as error:
-            return RunRecord(
-                scenario=scenario,
-                status="failed",
-                provenance=Provenance.build(scenario, "none", use_timer, config),
-                failure=FailureRecord.from_error(error),
-            )
-        return RunRecord(
-            scenario=scenario,
-            status="ok",
-            provenance=Provenance.build(scenario, cache_outcome, use_timer, config),
-            latency_s=latency_s,
-            model_latency_s=session.latency_s,
-            stats=stats,
-            init_time_s=session.init_time_s,
-            utilization=session.utilization,
-            power_w=active_power_w(session),
-            energy_j=energy_j,
-            container_overhead=overhead,
-            plan=PlanBreakdown(
-                compute_s=plan.compute_s,
-                memory_s=plan.memory_s,
-                dispatch_s=plan.dispatch_s,
-                roofline_s=plan.roofline_s,
-                session_overhead_s=plan.session_overhead_s,
-                input_transfer_s=plan.input_transfer_s,
-                op_count=len(plan.timings),
-                weight_bytes=deployed.weight_bytes(),
-            ),
-        )
 
     # -- record caching ----------------------------------------------------
     @staticmethod
@@ -235,10 +129,10 @@ class Runner:
     def _refresh_provenance(record: RunRecord) -> RunRecord:
         """Re-derive the deploy-cache outcome for a cached record.
 
-        A record stored on a cold run says ``"miss"``; replaying the same
-        cell scalar-style would now find the deployment cached and say
-        ``"hit"``, so hits are refreshed to match.  Failures (``"none"``)
-        and uncacheable runtimes (``"bypass"``) replay unchanged.
+        A record stored on a cold run says ``"miss"``; deploying the same
+        cell again would now find the deployment cached and say ``"hit"``,
+        so hits are refreshed to match.  Failures (``"none"``) and
+        uncacheable runtimes (``"bypass"``) replay unchanged.
         """
         if record.failed or not record.scenario.is_default_runtime:
             return record
@@ -271,27 +165,38 @@ class Runner:
                  use_timer: bool = True) -> list[RunRecord]:
         """Run a whole scenario grid through the sweep compiler.
 
-        Bit-identical to calling :meth:`run` on each cell in order, but the
-        grid is compiled as one unit: deployments and plans are shared
-        across cells, the rooflines are lowered into a single array
-        program, and already-finished cells come straight out of the
-        record cache.  Per-phase wall times land in the process-wide
-        compiler stats (``repro.engine.compile.compile_stats``).
+        Equal to calling :meth:`run` on each cell in order, but the grid is
+        compiled as one unit: deployments and plans are shared across
+        cells, the rooflines are lowered into a single array program, and
+        already-finished cells come straight out of the record cache.
+        Per-phase wall times land in the process-wide compiler stats
+        (``repro.engine.compile.compile_stats``).
+        """
+        return self._run_compiled(list(scenarios), use_timer)
+
+    def _run_compiled(self, cells: list[Scenario], use_timer: bool, *,
+                      n_runs: int | None = None, graph: Any = None,
+                      energy_meter: EnergyMeter | None = None) -> list[RunRecord]:
+        """The driver behind :meth:`run` and :meth:`run_grid`.
+
+        Looks every cell up in the record cache, then gathers, lowers and
+        scatters the rest and turns each compiled cell into a record.  Runs
+        with an explicit ``graph`` or an ``energy_meter`` neither read nor
+        fill the record cache.
         """
         from repro.engine import compile as sweep_compile
 
-        cells = list(scenarios)
-        use_cache = caching_enabled()
+        use_cache = caching_enabled() and graph is None and energy_meter is None
         records: list[RunRecord | None] = [None] * len(cells)
         pending: list[int] = []
         pending_keys: set = set()
         duplicates: list[tuple[int, tuple]] = []
         for index, scenario in enumerate(cells):
             if use_cache:
-                key = self._record_key(scenario, use_timer, None)
+                key = self._record_key(scenario, use_timer, n_runs)
                 if key in pending_keys:
                     # In-grid duplicate of a cell being compiled: resolve it
-                    # from the record cache afterwards, like a scalar replay.
+                    # from the record cache afterwards, like a replay.
                     duplicates.append((index, key))
                     continue
                 found, cached = RECORD_CACHE.cached_value(key)
@@ -302,17 +207,19 @@ class Runner:
             pending.append(index)
         if pending:
             start = time.perf_counter()
-            program = sweep_compile.gather([cells[i] for i in pending])
+            program = sweep_compile.gather([cells[i] for i in pending], graph)
             gathered = time.perf_counter()
             sweep_compile.lower(program)
             lowered = time.perf_counter()
             compiled = sweep_compile.scatter(program)
             scattered = time.perf_counter()
             for index, cell in zip(pending, compiled):
-                record = self._record_from_cell(cell, use_timer)
+                record = self._record_from_cell(cell, use_timer, n_runs,
+                                                energy_meter)
                 if use_cache:
                     record = RECORD_CACHE.store(
-                        self._record_key(cell.scenario, use_timer, None), record)
+                        self._record_key(cell.scenario, use_timer, n_runs),
+                        record)
                 records[index] = record
             stats = program.stats
             stats.gather_s = gathered - start
@@ -326,13 +233,15 @@ class Runner:
             records[index] = self._refresh_provenance(cached)
         return records  # type: ignore[return-value]  # every slot is filled
 
-    def _record_from_cell(self, cell: Any, use_timer: bool) -> RunRecord:
-        """Assemble one :class:`RunRecord` from a compiled cell.
+    def _record_from_cell(self, cell: Any, use_timer: bool,
+                          n_runs: int | None,
+                          energy_meter: EnergyMeter | None) -> RunRecord:
+        """Assemble the :class:`RunRecord` of one compiled cell.
 
-        Field for field the same arithmetic as the scalar :meth:`run`
-        pipeline — container taxes via :meth:`Container.taxed_latency_s`, the
-        cell-seeded timing loop via ``measure_latency`` — so records match
-        the scalar path bitwise.
+        The only place a record is built: container taxes via
+        :meth:`Container.taxed_latency_s`, the cell-seeded timing loop via
+        ``measure_latency`` and, when a meter is given, energy per
+        inference at the record's power draw and model latency.
         """
         scenario = cell.scenario
         config = EngineConfig(batch_size=scenario.batch_size)
@@ -354,11 +263,16 @@ class Runner:
             init_time_s = cell.init_time_s
         stats = None
         if use_timer:
-            measurement = self.timer(scenario).measure_latency(model_latency_s)
+            measurement = self.timer(scenario).measure_latency(model_latency_s,
+                                                               n_runs)
             stats = LatencyStats.from_measurement(measurement)
             latency_s = measurement.value
         else:
             latency_s = model_latency_s
+        energy_j = None
+        if energy_meter is not None:
+            energy_j = float(energy_meter.energy_per_inference(
+                cell.device_name, cell.power_w, model_latency_s))
         plan = cell.plan
         return RunRecord(
             scenario=scenario,
@@ -371,7 +285,7 @@ class Runner:
             init_time_s=init_time_s,
             utilization=cell.utilization,
             power_w=cell.power_w,
-            energy_j=None,
+            energy_j=energy_j,
             container_overhead=overhead,
             plan=PlanBreakdown(
                 compute_s=plan.compute_s,

@@ -80,6 +80,21 @@ class TestResolutionLadder:
         assert g.successors("repro/engine/lower.py:lower") == {
             "repro/measurement/clock.py:stamp"}
 
+    def test_imported_submodule_attribute_resolves(self):
+        g = graph(
+            module("""
+                def stamp():
+                    return 0
+                """, "src/repro/measurement/clock.py"),
+            module("""
+                def lower():
+                    from repro.measurement import clock as timing
+
+                    return timing.stamp()
+                """, "src/repro/engine/lower.py"))
+        assert g.successors("repro/engine/lower.py:lower") == {
+            "repro/measurement/clock.py:stamp"}
+
     def test_module_level_instance_method_resolves(self):
         g = graph(module("""
             class Memo:

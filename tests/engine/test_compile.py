@@ -1,13 +1,15 @@
-"""Sweep compiler: compiled grids are bit-identical to the scalar path.
+"""Sweep compiler: compiled grids are bit-identical to scalar references.
 
 Three layers of the same claim, at zero tolerance everywhere:
 
-* op level — ``time_op`` (scalar), ``time_ops`` (one-plan vectorization)
-  and the grid lowering (all plans in one array program) price every op of
-  every zoo model to the same IEEE-754 doubles;
-* record level — ``Runner.run_grid`` returns the same ``RunRecord`` values
-  as ``Runner.run`` cell by cell, including failures, batch sizes, dtypes,
-  containerized cells and non-default power modes;
+* op level — ``time_op`` (scalar), ``lower_specs`` on one spec and the
+  grid lowering (all plans in one array program) price every op of every
+  zoo model to the same IEEE-754 doubles;
+* record level — ``Runner.run_grid`` and ``Runner.run`` return the same
+  ``RunRecord`` values as the scalar session/timer/meter oracle
+  (``tests/runtime/oracles.py``), including failures, batch sizes, dtypes,
+  containerized cells, non-default power modes, pruned graphs, energy
+  meters and timing-loop overrides;
 * composition level (hypothesis) — which other cells share the batch, and
   in what order, never changes any cell's record.
 """
@@ -19,11 +21,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import compile as sweep_compile
+from repro.graphs.transforms import prune_graph
 from repro.engine.cache import clear_caches, set_caching
-from repro.engine.executor import EngineConfig, plan_from_spec, resolve_plan_spec
+from repro.engine.compile import deploy_scenario
+from repro.engine.executor import EngineConfig, lower_specs, resolve_plan_spec
 from repro.engine.roofline import time_op
+from repro.measurement.energy import EnergyMeter
+from repro.models import load_model
 from repro.models.zoo import list_models
 from repro.runtime import Runner, Scenario
+from tests.runtime.oracles import scalar_record
 
 pytestmark = pytest.mark.usefixtures("fresh_caches")
 
@@ -54,11 +61,18 @@ MIXED_CELLS = [
     Scenario("Inception-v4", "Jetson Nano", "TensorRT", dtype="int8"),
     Scenario("MobileNet-v2", "Jetson TX2", "TensorFlow", power_mode="MAXN"),
     Scenario("ResNet-18", "Raspberry Pi 3B", "TensorFlow", containerized=True),
+    Scenario("VGG16", "Raspberry Pi 3B", "PyTorch", batch_size=8),  # batch OOM
+    Scenario("VGG16", "Raspberry Pi 3B", "TensorFlow"),  # Table V failure
 ]
 
 
+def _oracle_records(cells, **kwargs):
+    runner = Runner()
+    return [scalar_record(runner, scenario, **kwargs) for scenario in cells]
+
+
 class TestThreeWayOpEquivalence:
-    """time_op == time_ops == compiled grid, over the whole model zoo."""
+    """time_op == lower_specs == compiled grid, over the whole model zoo."""
 
     def test_full_zoo_lowered_bit_identical(self):
         scenarios = [Scenario(model, "Jetson TX2", "PyTorch")
@@ -70,10 +84,10 @@ class TestThreeWayOpEquivalence:
             cell = compiled[scenario.key]
             if not cell.ok:
                 continue
-            deployed, _ = Runner().deploy(scenario)
-            # Recompute the scalar plan outside every cache.
+            deployed = deploy_scenario(scenario)
+            # Recompute the one-spec plan outside every cache.
             spec = resolve_plan_spec(deployed, EngineConfig(), _scale(deployed))
-            scalar_plan = plan_from_spec(spec)
+            (scalar_plan,) = lower_specs([spec]).plans
             assert len(cell.plan.timings) == len(scalar_plan.timings)
             for lowered, one_plan, (op, efficiency) in zip(
                     cell.plan.timings, scalar_plan.timings,
@@ -104,10 +118,13 @@ class TestRunGridMatchesRun:
     @pytest.mark.parametrize("use_timer", [True, False])
     def test_mixed_grid_records_equal_scalar_records(self, use_timer):
         clear_caches()
-        scalar = [Runner().run(s, use_timer=use_timer) for s in MIXED_CELLS]
+        scalar = _oracle_records(MIXED_CELLS, use_timer=use_timer)
         clear_caches()
         gridded = Runner().run_grid(MIXED_CELLS, use_timer=use_timer)
         assert gridded == scalar
+        clear_caches()
+        single = [Runner().run(s, use_timer=use_timer) for s in MIXED_CELLS]
+        assert single == scalar
 
     def test_warm_replay_identical(self):
         # A second pass refreshes deploy provenance to "hit" exactly like a
@@ -115,8 +132,8 @@ class TestRunGridMatchesRun:
         runner = Runner()
         runner.run_grid(MIXED_CELLS)
         warm_grid = runner.run_grid(MIXED_CELLS)
-        warm_scalar = [runner.run(s) for s in MIXED_CELLS]
-        assert warm_grid == warm_scalar
+        assert warm_grid == _oracle_records(MIXED_CELLS)
+        assert warm_grid == [runner.run(s) for s in MIXED_CELLS]
         assert warm_grid == runner.run_grid(MIXED_CELLS)
 
     def test_scalar_after_grid_hits_the_record_cache(self):
@@ -132,18 +149,73 @@ class TestRunGridMatchesRun:
     def test_caching_disabled_still_identical(self):
         set_caching(False)
         try:
-            scalar = [Runner().run(s, use_timer=False) for s in MIXED_CELLS]
+            scalar = _oracle_records(MIXED_CELLS, use_timer=False)
             gridded = Runner().run_grid(MIXED_CELLS, use_timer=False)
+            single = [Runner().run(s, use_timer=False) for s in MIXED_CELLS]
         finally:
             set_caching(True)
         assert gridded == scalar
+        assert single == scalar
 
     def test_failure_cells_round_trip(self):
         failing = Scenario("SSD MobileNet-v1", "Raspberry Pi 3B", "TensorFlow")
         record = Runner().run_grid([failing])[0]
         assert record.failed
         assert record.failure is not None
-        assert record == Runner().run(failing)
+        assert record == scalar_record(Runner(), failing)
+
+
+class TestRunMatchesOracle:
+    """The inputs only ``Runner.run`` takes, against the scalar oracle."""
+
+    @pytest.mark.parametrize("cell", MIXED_CELLS, ids=lambda s: s.key)
+    @pytest.mark.parametrize("sparsity", [0.0, 0.75])
+    def test_pruned_graph(self, cell, sparsity):
+        graph = prune_graph(load_model(cell.model), sparsity)
+        expected = scalar_record(Runner(), cell, use_timer=False, graph=graph)
+        record = Runner().run(cell, use_timer=False, graph=graph)
+        assert record == expected
+        assert record.failed or record.provenance.deploy_cache == "bypass"
+
+    def test_pruned_graph_never_touches_the_record_cache(self):
+        from repro.engine.cache import cache_stats
+
+        cell = MIXED_CELLS[0]
+        graph = prune_graph(load_model(cell.model), 0.5)
+        stock = Runner().run(cell, use_timer=False)
+        before = cache_stats()["record"]
+        pruned = Runner().run(cell, use_timer=False, graph=graph)
+        after = cache_stats()["record"]
+        assert (after["hits"], after["misses"], after["entries"]) == (
+            before["hits"], before["misses"], before["entries"])
+        assert pruned != stock
+        replayed = Runner().run(cell, use_timer=False)
+        assert replayed.provenance.deploy_cache == "hit"
+        assert _strip_deploy_provenance(replayed) == _strip_deploy_provenance(stock)
+
+    @pytest.mark.parametrize("cell", MIXED_CELLS, ids=lambda s: s.key)
+    @pytest.mark.parametrize("use_timer", [True, False])
+    def test_energy_meter(self, cell, use_timer):
+        meter = EnergyMeter(seed=5)
+        clear_caches()
+        expected = scalar_record(Runner(), cell, use_timer=use_timer,
+                                 energy_meter=meter)
+        clear_caches()
+        record = Runner().run(cell, use_timer=use_timer, energy_meter=meter)
+        assert record == expected
+        assert record.failed or record.energy_j > 0
+
+    @pytest.mark.parametrize("cell", MIXED_CELLS, ids=lambda s: s.key)
+    def test_n_runs(self, cell):
+        clear_caches()
+        expected = scalar_record(Runner(), cell, n_runs=7)
+        clear_caches()
+        record = Runner().run(cell, n_runs=7)
+        assert record == expected
+        if record.ok:
+            assert record.stats.samples == 7
+            # The override is part of the record-cache key.
+            assert Runner().run(cell).stats.samples != 7
 
 
 class TestCompositionIndependence:

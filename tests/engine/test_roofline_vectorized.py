@@ -1,16 +1,17 @@
-"""Vectorized ``time_ops`` agrees with scalar ``time_op`` bit-for-bit.
+"""The shared spec lowering agrees with scalar ``time_op`` bit-for-bit.
 
-The plan builder now prices every op through one numpy pass; these tests
-pin the contract that made that swap safe: identical IEEE-754 results for
-every op, datatype, batch size and ablation switch, so cached/vectorized
-sweeps stay byte-identical to the original scalar engine.
+Every plan — a lone session's or a whole compiled grid's — is priced by
+``lower_specs`` in one numpy pass; these tests pin it to the scalar
+reference: identical IEEE-754 results for every op, datatype, batch size
+and ablation switch, plus the lowering's input checks.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.engine.roofline import RooflineInputs, time_op, time_ops
+from repro.engine.executor import PlanSpec, lower_specs
+from repro.engine.roofline import RooflineInputs, time_op
 from repro.frameworks import load_framework
 from repro.graphs import ops as O
 from repro.graphs.tensor import TensorShape
@@ -27,6 +28,18 @@ def _inputs(**overrides) -> RooflineInputs:
     )
     defaults.update(overrides)
     return RooflineInputs(**defaults)
+
+
+def time_ops(ops, inputs, efficiencies, exploit_sparsity=False,
+             per_op_overhead_s=0.0, batch_size=1, include_memory_term=True):
+    """The timings ``lower_specs`` prices for one spec of these ops."""
+    spec = PlanSpec(
+        ops=tuple(ops), inputs=inputs, efficiencies=tuple(efficiencies),
+        exploit_sparsity=exploit_sparsity, per_op_overhead_s=per_op_overhead_s,
+        batch_size=batch_size, include_memory_term=include_memory_term,
+        session_overhead_s=0.0, input_transfer_s=0.0)
+    (plan,) = lower_specs([spec]).plans
+    return plan.timings
 
 
 def _assert_bit_identical(ops, inputs, efficiencies, **kwargs):
@@ -94,9 +107,36 @@ class TestAgreementOnModels:
                               exploit_sparsity=True)
 
 
+class TestSharedProgram:
+    def test_specs_lowered_together_equal_specs_lowered_alone(self):
+        deployed = load_framework("PyTorch").deploy(
+            load_model("MobileNet-v2"), load_device("Jetson TX2"))
+        ops = tuple(deployed.graph.schedulable_ops())
+
+        def spec(batch_size, memory, efficiency, overhead):
+            return PlanSpec(
+                ops=ops, inputs=_inputs(dispatch_overhead_s=overhead),
+                efficiencies=(efficiency,) * len(ops), exploit_sparsity=False,
+                per_op_overhead_s=3e-6, batch_size=batch_size,
+                include_memory_term=memory, session_overhead_s=1e-4,
+                input_transfer_s=0.0)
+
+        empty = PlanSpec(ops=(), inputs=_inputs(), efficiencies=(),
+                         exploit_sparsity=False, per_op_overhead_s=0.0,
+                         batch_size=1, include_memory_term=True,
+                         session_overhead_s=0.0, input_transfer_s=0.0)
+        specs = [spec(1, True, 0.4, 12e-6), empty, spec(8, False, 0.7, 5e-6),
+                 spec(3, True, 0.55, 20e-6)]
+        together = lower_specs(specs).plans
+        assert [plan.timings for plan in together] == [
+            lower_specs([one]).plans[0].timings for one in specs]
+        assert together[1].timings == []
+
+
 class TestEdgeCasesAndValidation:
     def test_empty_ops(self):
         assert time_ops([], _inputs(), []) == []
+        assert lower_specs([]).plans == []
 
     def test_zero_mac_op_exact_zero_compute(self):
         flat = O.Flatten("f", [O.Input("in", TensorShape(4, 4, 4))])

@@ -2,8 +2,8 @@
 
 The declared grids let the suite hand every gridded experiment's cells to
 the sweep compiler before the generators run.  The claims pinned here: the
-precompiled export is bit-identical to the scalar one, grids dedup by
-scenario key, and undeclared experiments degrade to the scalar path.
+precompiled export is bit-identical to the cell-by-cell one, grids dedup
+by scenario key, and undeclared experiments degrade to cell-by-cell runs.
 """
 
 from __future__ import annotations

@@ -1,13 +1,16 @@
 """Runner behaviour: old-path equivalence, batch API, candidate search."""
 
+import re
+
 import pytest
 
 from repro.core.errors import ReproError, UnknownEntryError
-from repro.engine.cache import cached_deploy, clear_caches
+from repro.engine.cache import cache_stats, cached_deploy, clear_caches
 from repro.engine.executor import InferenceSession
 from repro.harness.figures import measurement_seed
 from repro.measurement.timer import InferenceTimer
 from repro.runtime import Runner, Scenario, default_runner
+from tests.runtime.oracles import scalar_record
 
 # Cells covering four devices and both timer regimes; VGG16-on-RPi-TF is the
 # canonical Table V memory failure.
@@ -29,22 +32,35 @@ def legacy_latency_s(model: str, device: str, framework: str,
     return session.latency_s
 
 
+def _cold_pair(scenario: Scenario, **kwargs):
+    """(compiled record, scalar-oracle record), each from cold caches."""
+    clear_caches()
+    expected = scalar_record(default_runner(), scenario, **kwargs)
+    clear_caches()
+    return default_runner().run(scenario, **kwargs), expected
+
+
 class TestOldPathEquivalence:
     @pytest.mark.parametrize("cell", SAMPLE_CELLS)
     def test_timed_latency_matches_legacy_exactly(self, cell):
-        record = default_runner().run(Scenario(*cell))
+        record, expected = _cold_pair(Scenario(*cell))
         assert record.ok
         assert record.latency_s == legacy_latency_s(*cell)  # zero tolerance
+        assert record == expected
 
     @pytest.mark.parametrize("cell", SAMPLE_CELLS)
     def test_plan_latency_matches_legacy_exactly(self, cell):
-        record = default_runner().run(Scenario(*cell), use_timer=False)
+        record, expected = _cold_pair(Scenario(*cell), use_timer=False)
         assert record.latency_s == legacy_latency_s(*cell, use_timer=False)
+        assert record == expected
 
     def test_measure_matches_record_latency(self):
         scenario = Scenario(*SAMPLE_CELLS[0])
         runner = default_runner()
-        assert runner.measure(scenario) == runner.run(scenario).latency_s
+        expected = scalar_record(runner, scenario)
+        assert runner.measure(scenario) == expected.latency_s
+        assert runner.measure(scenario, use_timer=False) == (
+            scalar_record(runner, scenario, use_timer=False).latency_s)
 
     def test_latency_independent_of_cache_state(self):
         cell = SAMPLE_CELLS[0]
@@ -54,6 +70,25 @@ class TestOldPathEquivalence:
         assert cold.provenance.deploy_cache == "miss"
         assert warm.provenance.deploy_cache == "hit"
         assert cold.latency_s == warm.latency_s
+
+
+class TestMeasure:
+    def test_failure_raises_repro_error_naming_the_scenario(self):
+        scenario = Scenario("VGG16", "Raspberry Pi 3B", "TensorFlow")
+        with pytest.raises(ReproError,
+                           match=re.escape(scenario.describe())) as excinfo:
+            default_runner().measure(scenario)
+        assert type(excinfo.value) is ReproError
+
+    def test_measure_leaves_a_record_a_later_run_hits(self):
+        scenario = Scenario(*SAMPLE_CELLS[1])
+        clear_caches()
+        runner = default_runner()
+        latency_s = runner.measure(scenario)
+        hits = cache_stats()["record"]["hits"]
+        record = runner.run(scenario)
+        assert cache_stats()["record"]["hits"] == hits + 1
+        assert record.latency_s == latency_s
 
 
 class TestBatchAPI:
