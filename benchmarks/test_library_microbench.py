@@ -13,6 +13,7 @@ from repro.frameworks import load_framework
 from repro.graphs.serialize import graph_from_dict, graph_to_dict
 from repro.hardware import load_device
 from repro.models import load_model
+from repro.runtime import Scenario, default_runner
 
 
 @pytest.mark.benchmark(group="library")
@@ -47,10 +48,10 @@ def test_serialize_round_trip_vgg16(benchmark):
 
 @pytest.mark.benchmark(group="library")
 def test_pipeline_partition_yolov3(benchmark):
-    deployed = load_framework("PyTorch").deploy(load_model("YOLOv3"),
-                                                load_device("Jetson TX2"))
+    session = default_runner().session(
+        Scenario("YOLOv3", "Jetson TX2", "PyTorch"))
     link = load_link("ethernet")
-    plan = benchmark(partition_pipeline, deployed, 4, link)
+    plan = benchmark(partition_pipeline, session, 4, link)
     assert len(plan.stages) == 4
 
 

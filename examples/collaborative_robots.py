@@ -16,8 +16,9 @@ Run:  python examples/collaborative_robots.py [model]
 
 import sys
 
-from repro import load_device, load_framework, load_model
-from repro.distribution import SplitPlanner, load_link, partition_pipeline
+from repro import load_model
+from repro.distribution import load_link, partition_pipeline, split_deployments
+from repro.runtime import Scenario, default_runner
 
 
 def main(model_name: str = "TinyYolo") -> None:
@@ -26,24 +27,27 @@ def main(model_name: str = "TinyYolo") -> None:
     print()
 
     # Part 1: offloading decision against a base-station GPU.
-    edge = load_framework("TensorFlow").deploy(graph, load_device("Raspberry Pi 3B"))
-    remote = load_framework("PyTorch").deploy(graph, load_device("GTX Titan X"))
+    edge = Scenario(model_name, "Raspberry Pi 3B", "TensorFlow")
+    remote = Scenario(model_name, "GTX Titan X", "PyTorch")
     print("Offloading decision (robot = RPi 3B, base station = GTX Titan X):")
     for link_name in ("ethernet", "wifi", "wifi-congested", "lte", "bluetooth"):
-        planner = SplitPlanner(edge, remote, load_link(link_name))
-        best = planner.best()
-        print(f"  {link_name:15s}: {best.describe()}")
-        print(f"  {'':15s}  (fully local would take "
-              f"{planner.all_edge().total_s:.2f} s, "
-              f"speedup {planner.offload_speedup():.1f}x)")
+        # Every cut, input-side first: the last one keeps the model local.
+        deployments = split_deployments(edge, remote, link_name)
+        best = min(deployments, key=lambda d: d.latency_s)
+        local_s = deployments[-1].latency_s
+        print(f"  {link_name}: fully local would take {local_s:.2f} s; "
+              f"the best placement is {local_s / best.latency_s:.1f}x faster")
+        for line in best.describe().splitlines():
+            print(f"    {line}")
     print()
 
     # Part 2: no base station — pipeline across teammates.
     print("Collaborative pipeline across robot teammates (WiFi between them):")
     link = load_link("wifi")
-    baseline_fps = partition_pipeline(edge, 1, link).throughput_fps
+    robot = default_runner().session(edge)
+    baseline_fps = partition_pipeline(robot, 1, link).throughput_fps
     for team_size in (1, 2, 3, 4, 6):
-        plan = partition_pipeline(edge, team_size, link)
+        plan = partition_pipeline(robot, team_size, link)
         print(f"  {team_size} robot(s): {plan.throughput_fps:6.2f} fps "
               f"({plan.throughput_fps / baseline_fps:4.2f}x), "
               f"bottleneck stage {plan.bottleneck_s * 1e3:6.0f} ms, "

@@ -333,12 +333,29 @@ def _placement_pool(path: str, replicas: int) -> "PoolSpec":
     from repro.placement import Deployment
 
     payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, dict):
+        raise ValueError(
+            f"{path}: expected a 'repro place --format json' object, "
+            f"got a JSON {type(payload).__name__}")
     frontier = payload.get("frontier", ())
+    if not isinstance(frontier, list):
+        raise ValueError(f"{path}: 'frontier' must be a list of points, "
+                         f"got {frontier!r}")
     if not frontier:
         raise ValueError(
             f"{path}: no frontier points (was the SLO satisfiable?); "
             "regenerate with 'repro place ... --format json --output'")
-    deployment = Deployment.from_dict(frontier[0]["deployment"])
+    point = frontier[0]
+    if not isinstance(point, dict) or "deployment" not in point:
+        raise ValueError(f"{path}: frontier point 0 has no 'deployment'")
+    try:
+        deployment = Deployment.from_dict(point["deployment"])
+    except KeyError as error:
+        raise ValueError(
+            f"{path}: frontier point 0's deployment lacks {error}") from None
+    except (AttributeError, TypeError) as error:
+        raise ValueError(
+            f"{path}: malformed deployment in frontier point 0: {error}") from None
     return PoolSpec.from_deployment(
         name=f"placement:{'+'.join(deployment.devices)}",
         deployment=deployment, replicas=replicas)
@@ -379,11 +396,11 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
                      for index, spec in enumerate(args.pool or _DEFAULT_FLEET_POOLS)]
         autoscaler = Autoscaler() if args.autoscale else None
         admission = (AdmissionControl(max_queue_per_node=args.admit_limit)
-                     if args.admit_limit else None)
+                     if args.admit_limit is not None else None)
         simulation = FleetSimulation(pools, router=args.policy,
                                      autoscaler=autoscaler,
                                      admission=admission, epochs=args.epochs)
-    except (ReproError, ValueError) as error:
+    except (ReproError, ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     # Default load: 70% of the fleet's peak service rate — busy but stable.
@@ -399,13 +416,17 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             burst_size=args.burst_size),
         "diurnal": lambda: DiurnalArrivals(
             base_rate_hz=rate_hz,
-            period_s=args.period if args.period else span_s / 2),
+            period_s=args.period if args.period is not None else span_s / 2),
     }
     process = reseeded(processes[args.arrivals](), args.seed)
-    if args.requests is not None:
-        arrival_times = first_n(process, args.requests)
-    else:
-        arrival_times = process.generate(args.horizon)
+    try:
+        if args.requests is not None:
+            arrival_times = first_n(process, args.requests)
+        else:
+            arrival_times = process.generate(args.horizon)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     stats = simulation.run(arrival_times, seed=args.seed)
     text = (json.dumps(stats.to_dict(), indent=1) if args.format == "json"
             else stats.describe())
@@ -565,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     export_parser.add_argument("path", help="output file")
     export_parser.add_argument("experiments", nargs="*",
                                help="experiment ids (default: all)")
-    export_parser.add_argument("--jobs", type=int, default=1,
+    export_parser.add_argument("--jobs", type=_positive_int, default=1,
                                help="worker count (default 1 = serial)")
     export_parser.add_argument("--executor", choices=("thread", "process"),
                                default="thread",
@@ -576,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
         "suite", help="run the experiment suite through the sweep runner")
     suite_parser.add_argument("experiments", nargs="*",
                               help="experiment ids (default: all)")
-    suite_parser.add_argument("--jobs", type=int, default=1,
+    suite_parser.add_argument("--jobs", type=_positive_int, default=1,
                               help="worker count (default 1 = serial)")
     suite_parser.add_argument("--executor", choices=("thread", "process"),
                               default="thread",
@@ -602,10 +623,13 @@ def build_parser() -> argparse.ArgumentParser:
     recommend_parser = subparsers.add_parser(
         "recommend", help="find the best deployment for a model under constraints")
     recommend_parser.add_argument("model")
-    recommend_parser.add_argument("--deadline-ms", type=float, default=None)
-    recommend_parser.add_argument("--power-w", type=float, default=None)
-    recommend_parser.add_argument("--energy-mj", type=float, default=None)
-    recommend_parser.add_argument("--top", type=int, default=10,
+    recommend_parser.add_argument("--deadline-ms", type=_positive_float,
+                                  default=None)
+    recommend_parser.add_argument("--power-w", type=_positive_float,
+                                  default=None)
+    recommend_parser.add_argument("--energy-mj", type=_positive_float,
+                                  default=None)
+    recommend_parser.add_argument("--top", type=_positive_int, default=10,
                                   help="rows to print (default 10)")
     recommend_parser.set_defaults(handler=_cmd_recommend)
 
@@ -650,7 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="serve the best frontier point from a "
                                    "'repro place --format json' file "
                                    "instead of --pool specs")
-    fleet_parser.add_argument("--replicas", type=int, default=2,
+    fleet_parser.add_argument("--replicas", type=_positive_int, default=2,
                               help="replica chains for --placement "
                                    "(default 2)")
     fleet_parser.add_argument("--requests", type=_positive_int, default=None,
@@ -665,9 +689,9 @@ def build_parser() -> argparse.ArgumentParser:
                               choices=("poisson", "periodic", "bursty",
                                        "diurnal"),
                               help="arrival process (default poisson)")
-    fleet_parser.add_argument("--burst-size", type=int, default=8,
+    fleet_parser.add_argument("--burst-size", type=_positive_int, default=8,
                               help="requests per burst for --arrivals bursty")
-    fleet_parser.add_argument("--period", type=float, default=None,
+    fleet_parser.add_argument("--period", type=_positive_float, default=None,
                               metavar="SECONDS",
                               help="cycle length for --arrivals diurnal "
                                    "(default: half the horizon)")
@@ -680,7 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_parser.add_argument("--seed", type=int, default=0,
                               help="workload seed (reports are byte-identical "
                                    "per seed)")
-    fleet_parser.add_argument("--admit-limit", type=int, default=None,
+    fleet_parser.add_argument("--admit-limit", type=_positive_int, default=None,
                               metavar="N",
                               help="admission control: max queue per node")
     fleet_parser.add_argument("--autoscale", action="store_true",

@@ -48,19 +48,11 @@ class Registry(Generic[T]):
 
     def create(self, name: str) -> T:
         """Instantiate the entry registered under ``name``."""
-        key = canonical_name(name)
-        if key not in self._factories:
-            suggestion = self._suggest(key)
-            hint = f" (did you mean {suggestion!r}?)" if suggestion else ""
-            raise UnknownEntryError(f"unknown {self._kind}: {name!r}{hint}")
-        return self._factories[key]()
+        return self._factories[self._key(name)]()
 
     def display_name(self, name: str) -> str:
         """Return the primary display name for ``name`` (or any alias)."""
-        key = canonical_name(name)
-        if key not in self._display_names:
-            raise UnknownEntryError(f"unknown {self._kind}: {name!r}")
-        return self._display_names[key]
+        return self._display_names[self._key(name)]
 
     def names(self) -> list[str]:
         """Primary display names, in registration order, without aliases."""
@@ -78,6 +70,15 @@ class Registry(Generic[T]):
 
     def __len__(self) -> int:
         return len(self.names())
+
+    def _key(self, name: str) -> str:
+        """The registered key for ``name``, or the unknown-entry error."""
+        key = canonical_name(name)
+        if key not in self._factories:
+            suggestion = self._suggest(key)
+            hint = f" (did you mean {suggestion!r}?)" if suggestion else ""
+            raise UnknownEntryError(f"unknown {self._kind}: {name!r}{hint}")
+        return key
 
     def _suggest(self, key: str) -> str | None:
         matches = difflib.get_close_matches(key, self._factories.keys(), n=1, cutoff=0.6)

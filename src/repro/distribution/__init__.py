@@ -4,14 +4,14 @@ The paper's related-work section centers on distributing DNN inference:
 Neurosurgeon's cloud-edge split and the authors' own collaborative
 model-parallelism across IoT devices/robots.  This package builds that
 substrate on the engine: network link models, graph cut-point analysis,
-a Neurosurgeon-style split planner, and a pipeline partitioner for chains
-of edge devices.
+a Neurosurgeon-style split and a pipeline partitioner for chains of edge
+devices.
 
-The planners double as *lowering rules*: :func:`lower_split` and
-:func:`lower_pipeline` emit :class:`~repro.placement.deployment.Deployment`
-objects the fleet can price and serve, while :class:`SplitPlan` and
-:class:`PipelinePlan` remain as their scenario-free projections
-(:func:`as_split_plan` / :func:`as_pipeline_plan`).
+Both are priced from :class:`~repro.runtime.runner.Runner` sessions and
+lowered to :class:`~repro.placement.deployment.Deployment` objects the
+fleet can price and serve (:func:`split_deployments`, :func:`lower_split`,
+:func:`lower_pipeline`).  :class:`PipelinePlan` is the pipeline DP's own
+result.
 """
 
 from repro.distribution.network import (
@@ -25,18 +25,11 @@ from repro.distribution.partition import CutPoint, cut_points, narrowest_cut
 from repro.distribution.pipeline import (
     PipelinePlan,
     PipelineStage,
-    as_pipeline_plan,
     lower_pipeline,
     partition_pipeline,
     partition_pipeline_heterogeneous,
 )
-from repro.distribution.split import (
-    SplitPlan,
-    SplitPlanner,
-    as_split_plan,
-    lower_split,
-    split_deployments,
-)
+from repro.distribution.split import lower_split, split_deployments
 
 __all__ = [
     "CutPoint",
@@ -45,10 +38,6 @@ __all__ = [
     "PipelinePlan",
     "PipelineStage",
     "REQUIRED_LINK_PRESETS",
-    "SplitPlan",
-    "SplitPlanner",
-    "as_pipeline_plan",
-    "as_split_plan",
     "cut_points",
     "load_link",
     "lower_pipeline",

@@ -6,11 +6,12 @@ through the pipeline.  Steady-state throughput is set by the slowest stage
 (compute plus its outgoing transfer), so the partitioner minimizes the
 bottleneck over all contiguous stage assignments via dynamic programming.
 
-Since the :class:`~repro.placement.deployment.Deployment` refactor this
-module is a *lowering rule*: :func:`lower_pipeline` runs the partitioner
-over a chain of scenarios and emits a servable multi-stage Deployment;
-:class:`PipelinePlan` remains as its scenario-free projection
-(:func:`as_pipeline_plan` recovers the plan from the deployment exactly).
+The partitioner prices stages from Runner sessions' per-op timings and
+returns a :class:`PipelinePlan`; :func:`lower_pipeline` runs it over a
+chain of scenarios and emits the servable multi-stage
+:class:`~repro.placement.deployment.Deployment`.  The plan stays the
+partitioner's result because a one-device "pipeline" (the whole model's
+op latencies, without session overhead) has no Deployment form.
 """
 
 from __future__ import annotations
@@ -21,13 +22,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.distribution.network import NetworkLink, resolve_link
-from repro.engine.executor import InferenceSession
-from repro.frameworks.base import DeployedModel
 from repro.placement.deployment import Deployment, StageSpec
 
 if TYPE_CHECKING:
     from collections.abc import Sequence
 
+    from repro.engine.executor import InferenceSession
     from repro.runtime.runner import Runner
     from repro.runtime.scenario import Scenario
 
@@ -79,21 +79,23 @@ class PipelinePlan:
         return "\n".join(lines)
 
 
-def partition_pipeline_heterogeneous(deployments: list[DeployedModel],
+def partition_pipeline_heterogeneous(sessions: "Sequence[InferenceSession]",
                                      link: NetworkLink) -> PipelinePlan:
     """Pipeline one model across an ORDERED list of different devices.
 
-    Each entry of ``deployments`` is the same source model deployed on the
-    device that will run that pipeline position (robot teams are rarely
-    uniform).  The DP minimizes the bottleneck stage, where a stage's
-    compute time uses its own device's per-op timings.
+    Each entry of ``sessions`` is a :meth:`Runner.session` of the same
+    source model on the device that will run that pipeline position
+    (robot teams are rarely uniform).  The DP minimizes the bottleneck
+    stage, where a stage's compute time uses its own session's per-op
+    timings.
 
     Dynamic program over (ops consumed, devices used): classic chain
     partitioning, O(N^2 * D) with N schedulable ops, one (start x end)
     array step per device.
     """
-    if not deployments:
-        raise ValueError("need at least one deployment")
+    if not sessions:
+        raise ValueError("need at least one session")
+    deployments = [session.deployed for session in sessions]
     names = {d.graph.name for d in deployments}
     if len(names) != 1:
         raise ValueError(f"all deployments must share one model, got {sorted(names)}")
@@ -112,18 +114,14 @@ def partition_pipeline_heterogeneous(deployments: list[DeployedModel],
     cuts = deployments[0].cut_points()
     transfer_at = [link.transfer_time_s(c.transfer_bytes) for c in cuts]
     prefixes: dict[int, list[float]] = {}
-    for deployed in deployments:
-        if id(deployed) in prefixes:
+    for session in sessions:
+        if id(session.deployed) in prefixes:
             continue  # a repeated device prices its stages identically
-        # The planner prices caller-supplied deployments, outside the
-        # Runner's scenario namespace.
-        timings = {
-            t.op.name: t.latency_s
-            for t in InferenceSession(deployed).plan.timings}  # repro: allow[ARCH001]
+        timings = {t.op.name: t.latency_s for t in session.plan.timings}
         prefix = [0.0] * (n + 1)
         for i, name in enumerate(schedulable):
             prefix[i + 1] = prefix[i] + timings.get(name, 0.0)
-        prefixes[id(deployed)] = prefix
+        prefixes[id(session.deployed)] = prefix
     prefix_compute = [prefixes[id(deployed)] for deployed in deployments]
 
     # best[d][end]: minimal bottleneck covering the first ``end`` ops with
@@ -172,14 +170,14 @@ def partition_pipeline_heterogeneous(deployments: list[DeployedModel],
     return PipelinePlan(stages=tuple(stages))
 
 
-def partition_pipeline(deployed: DeployedModel, num_devices: int,
+def partition_pipeline(session: "InferenceSession", num_devices: int,
                        link: NetworkLink) -> PipelinePlan:
     """Minimize the pipeline bottleneck over contiguous stage assignments
     on ``num_devices`` copies of one device (the homogeneous case of
     :func:`partition_pipeline_heterogeneous`)."""
     if num_devices < 1:
         raise ValueError(f"need at least one device, got {num_devices}")
-    return partition_pipeline_heterogeneous([deployed] * num_devices, link)
+    return partition_pipeline_heterogeneous([session] * num_devices, link)
 
 
 # -- lowering to Deployments -------------------------------------------------
@@ -189,11 +187,10 @@ def lower_pipeline(scenarios: "Sequence[Scenario]", link: NetworkLink | str, *,
     """Lower an ordered chain of scenarios to a pipelined Deployment.
 
     Runs :func:`partition_pipeline_heterogeneous` over the scenarios'
-    engine sessions (one per device position, so heterogeneous chains are
+    Runner sessions (one per device position, so heterogeneous chains are
     fine) and attaches the per-device pricing — active power, idle power,
-    session init — a served stage needs.  The
-    :func:`as_pipeline_plan` projection of the result equals the
-    partitioner's plan exactly.
+    session init — a served stage needs.  Stage ``k`` carries the plan's
+    ``stages[k]`` op names, compute and outgoing transfer exactly.
     """
     from repro.distribution.split import _lowered_side
 
@@ -205,8 +202,7 @@ def lower_pipeline(scenarios: "Sequence[Scenario]", link: NetworkLink | str, *,
         from repro.runtime.runner import default_runner
         runner = default_runner()
     sessions = [runner.session(scenario) for scenario in scenarios]
-    plan = partition_pipeline_heterogeneous(
-        [session.deployed for session in sessions], link)
+    plan = partition_pipeline_heterogeneous(sessions, link)
     bytes_at = [cut.transfer_bytes for cut in sessions[0].deployed.cut_points()]
     stages = []
     consumed = 0
@@ -223,21 +219,3 @@ def lower_pipeline(scenarios: "Sequence[Scenario]", link: NetworkLink | str, *,
             **_lowered_side(scenario, session),
         ))
     return Deployment(kind="pipeline", link=link.name, stages=tuple(stages))
-
-
-def as_pipeline_plan(deployment: Deployment) -> PipelinePlan:
-    """Project a pipelined deployment back onto its :class:`PipelinePlan`.
-
-    Inverse of :func:`lower_pipeline`:
-    ``as_pipeline_plan(lower_pipeline(chain, link))`` equals the
-    partitioner's plan exactly (dataclass equality, zero float tolerance).
-    """
-    if deployment.kind != "pipeline":
-        raise ValueError(
-            f"expected a pipeline deployment, got {deployment.kind!r}")
-    return PipelinePlan(stages=tuple(
-        PipelineStage(device_index=position,
-                      op_names=stage.op_names or (),
-                      compute_s=stage.compute_s,
-                      outgoing_transfer_s=stage.transfer_s)
-        for position, stage in enumerate(deployment.stages)))

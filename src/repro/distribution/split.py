@@ -1,30 +1,21 @@
-"""Neurosurgeon-style cloud-edge split planning, lowered to Deployments.
+"""Neurosurgeon-style cloud-edge split, lowered to Deployments.
 
 For every cut point: run the prefix on the edge device, ship the crossing
-activations over the link, run the suffix on the remote platform.  The
-planner evaluates all cuts with the engine's per-op timings and returns the
-latency-optimal plan, together with the all-edge and all-remote baselines
-the paper's offloading discussion contrasts (Section I: privacy, connectivity
-and timing constraints are what rule the all-remote point out in practice).
-
-Since the :class:`~repro.placement.deployment.Deployment` refactor this
-module is a *lowering rule*: :func:`lower_split` prices a (edge scenario,
-remote scenario, link) triple and emits a servable two-stage Deployment,
-and the scenario-free :class:`SplitPlan`/:class:`SplitPlanner` entry
-points remain as the per-cut projection of those deployments
-(:func:`as_split_plan` recovers the plan from the deployment exactly).
+activations over the link, run the suffix on the remote platform.  Every
+cut is priced from the two Runner sessions' per-op timings and lowered to a
+:class:`~repro.placement.deployment.Deployment`: a two-stage ``"split"``
+deployment, or a single-node one for the all-edge cut.  The input-side cut
+is the all-remote baseline the paper's offloading discussion contrasts
+(Section I: privacy, connectivity and timing constraints are what rule it
+out in practice) and the last cut is the all-edge one.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.distribution.network import NetworkLink, resolve_link
 from repro.distribution.partition import CutPoint
-from repro.engine.executor import InferenceSession
-from repro.frameworks.base import DeployedModel
 from repro.placement.deployment import Deployment, StageSpec
 
 if TYPE_CHECKING:
@@ -32,9 +23,8 @@ if TYPE_CHECKING:
     from repro.runtime.scenario import Scenario
 
 
-@dataclass(frozen=True)
-class SplitPlan:
-    """One evaluated cut."""
+class _CutRow(NamedTuple):
+    """One priced cut: edge prefix, link transfer, remote suffix."""
 
     cut: CutPoint
     edge_s: float
@@ -43,121 +33,15 @@ class SplitPlan:
 
     @property
     def total_s(self) -> float:
+        # The same three floats in the same order as the lowered
+        # deployment's ``latency_s``.
         return self.edge_s + self.transfer_s + self.remote_s
 
-    @property
-    def is_all_edge(self) -> bool:
-        return math.isclose(self.remote_s, 0.0, abs_tol=1e-15) and self.cut.after_op != ""
 
-    def describe(self) -> str:
-        where = f"after {self.cut.after_op!r}" if self.cut.after_op else "at the input"
-        return (
-            f"cut {where}: edge {self.edge_s * 1e3:.1f} ms + link "
-            f"{self.transfer_s * 1e3:.1f} ms + remote {self.remote_s * 1e3:.1f} ms "
-            f"= {self.total_s * 1e3:.1f} ms"
-        )
+def _best_index(rows: list[_CutRow]) -> int:
+    """The latency-optimal cut; the first one on ties."""
+    return min(range(len(rows)), key=lambda i: rows[i].total_s)
 
-
-class SplitPlanner:
-    """Evaluates every cut of a model between two deployments.
-
-    Both deployments must come from the SAME source graph so that op names
-    align; the planner times each side with its own engine session and
-    prices the link with the crossing-tensor sizes.
-    """
-
-    def __init__(self, edge: DeployedModel, remote: DeployedModel, link: NetworkLink):
-        if edge.graph.name != remote.graph.name:
-            raise ValueError(
-                f"split requires one model on both sides, got "
-                f"{edge.graph.name!r} vs {remote.graph.name!r}"
-            )
-        self.edge = edge
-        self.remote = remote
-        self.link = link
-        self._edge_times = self._per_op_times(edge)
-        self._remote_times = self._per_op_times(remote)
-        self._cuts = edge.cut_points()
-        self._plans: list[SplitPlan] | None = None
-
-    def with_link(self, link: NetworkLink) -> SplitPlanner:
-        """A planner for the same deployments priced over a different link.
-
-        Shares the per-op timing tables and cut list (the expensive part —
-        two engine sessions per planner); only transfer pricing changes.
-        """
-        other = SplitPlanner.__new__(SplitPlanner)
-        other.edge = self.edge
-        other.remote = self.remote
-        other.link = link
-        other._edge_times = self._edge_times
-        other._remote_times = self._remote_times
-        other._cuts = self._cuts
-        other._plans = None
-        return other
-
-    @staticmethod
-    def _per_op_times(deployed: DeployedModel) -> dict[str, float]:
-        # The planner prices caller-supplied deployments (remote platforms
-        # outside the Runner's scenario namespace).
-        session = InferenceSession(deployed)  # repro: allow[ARCH001]
-        times = {t.op.name: t.latency_s for t in session.plan.timings}
-        times["__session__"] = (session.plan.session_overhead_s
-                                + session.plan.input_transfer_s)
-        return times
-
-    def sweep(self) -> list[SplitPlan]:
-        """Evaluate every cut point, input-side first.  Plans are memoized;
-        repeated calls (``best``/``all_edge``/``all_remote``) reuse them."""
-        if self._plans is None:
-            self._plans = self._sweep()
-        return list(self._plans)
-
-    def _sweep(self) -> list[SplitPlan]:
-        schedulable = [op.name for op in self.edge.graph.schedulable_ops()]
-        edge_values = [self._edge_times.get(name, 0.0) for name in schedulable]
-        remote_values = [self._remote_times.get(name, 0.0) for name in schedulable]
-        count = len(schedulable)
-        # Running prefix sums accumulate left-to-right — the same float-op
-        # order as summing each prefix from scratch, so cuts price
-        # bit-identically to the quadratic form this replaces.
-        edge_prefix = [0.0]
-        acc = 0.0
-        for value in edge_values:
-            acc += value
-            edge_prefix.append(acc)
-        plans = []
-        for cut in self._cuts:
-            index = cut.index
-            if count == 0 or index == count:
-                # Fully local: the result still returns to the caller on-device.
-                transfer = 0.0
-            else:
-                transfer = self.link.transfer_time_s(cut.transfer_bytes)
-            edge_s = (0.0 if index == 0
-                      else edge_prefix[index] + self._edge_times["__session__"])
-            remote_s = (0.0 if index == count
-                        else sum(remote_values[index:])
-                        + self._remote_times["__session__"])
-            plans.append(SplitPlan(
-                cut=cut, edge_s=edge_s, transfer_s=transfer, remote_s=remote_s))
-        return plans
-
-    def best(self) -> SplitPlan:
-        return min(self.sweep(), key=lambda plan: plan.total_s)
-
-    def all_edge(self) -> SplitPlan:
-        return self.sweep()[-1]
-
-    def all_remote(self) -> SplitPlan:
-        return self.sweep()[0]
-
-    def offload_speedup(self) -> float:
-        """Best split latency improvement over staying fully on the edge."""
-        return self.all_edge().total_s / self.best().total_s
-
-
-# -- lowering to Deployments -------------------------------------------------
 
 def _lowered_side(scenario: Scenario, session) -> dict[str, float]:
     """Per-device pricing a served stage needs beyond its compute time."""
@@ -171,36 +55,73 @@ def _lowered_side(scenario: Scenario, session) -> dict[str, float]:
     }
 
 
+def _op_times(session, schedulable: tuple[str, ...]) -> tuple[list[float], float]:
+    """Per-op seconds along ``schedulable``, plus the session's fixed cost."""
+    plan = session.plan
+    times = {t.op.name: t.latency_s for t in plan.timings}
+    return ([times.get(name, 0.0) for name in schedulable],
+            plan.session_overhead_s + plan.input_transfer_s)
+
+
 def _split_context(edge: Scenario, remote: Scenario, link: NetworkLink,
                    runner: "Runner | None"):
-    """Sessions, sweep and per-side pricing shared by the split lowerings."""
+    """Every cut priced from the two Runner sessions, input-side first,
+    with the op schedule and the per-side pricing the lowerings attach."""
     if runner is None:
         from repro.runtime.runner import default_runner
         runner = default_runner()
     edge_session = runner.session(edge)
     remote_session = runner.session(remote)
-    planner = SplitPlanner(edge_session.deployed, remote_session.deployed, link)
-    schedulable = tuple(
-        op.name for op in edge_session.deployed.graph.schedulable_ops())
-    return (planner.sweep(), schedulable,
+    edge_graph = edge_session.deployed.graph
+    remote_graph = remote_session.deployed.graph
+    if edge_graph.name != remote_graph.name:
+        raise ValueError(
+            f"split requires one model on both sides, got "
+            f"{edge_graph.name!r} vs {remote_graph.name!r}")
+    schedulable = tuple(op.name for op in edge_graph.schedulable_ops())
+    edge_values, edge_overhead = _op_times(edge_session, schedulable)
+    remote_values, remote_overhead = _op_times(remote_session, schedulable)
+    count = len(schedulable)
+    # Running prefix sums accumulate left-to-right — the same float-op
+    # order as summing each prefix from scratch.  The remote suffix is
+    # summed from scratch per cut: a running suffix would add in the
+    # opposite order and move the frontier's floats.
+    edge_prefix = [0.0]
+    acc = 0.0
+    for value in edge_values:
+        acc += value
+        edge_prefix.append(acc)
+    rows = []
+    for cut in edge_session.deployed.cut_points():
+        index = cut.index
+        if count == 0 or index == count:
+            # Fully local: the result still returns to the caller on-device.
+            transfer = 0.0
+        else:
+            transfer = link.transfer_time_s(cut.transfer_bytes)
+        edge_s = 0.0 if index == 0 else edge_prefix[index] + edge_overhead
+        remote_s = (0.0 if index == count
+                    else sum(remote_values[index:]) + remote_overhead)
+        rows.append(_CutRow(cut, edge_s, transfer, remote_s))
+    return (rows, schedulable,
             _lowered_side(edge, edge_session),
             _lowered_side(remote, remote_session))
 
 
-def _deployment_from_split(plan: SplitPlan, edge: Scenario, remote: Scenario,
+def _deployment_from_split(row: _CutRow, edge: Scenario, remote: Scenario,
                            schedulable: tuple[str, ...], link: NetworkLink,
                            edge_side: dict[str, float],
                            remote_side: dict[str, float]) -> Deployment:
-    index = plan.cut.index
+    index = row.cut.index
     if index == len(schedulable):
         # All-edge: nothing crosses the link, so this IS a single-node
         # deployment — normalize so the fleet serves it on the legacy path.
-        return Deployment.single(edge, compute_s=plan.edge_s, **edge_side)
+        return Deployment.single(edge, compute_s=row.edge_s, **edge_side)
     head = StageSpec(scenario=edge, op_names=schedulable[:index],
-                     compute_s=plan.edge_s, transfer_s=plan.transfer_s,
-                     transfer_bytes=plan.cut.transfer_bytes, **edge_side)
+                     compute_s=row.edge_s, transfer_s=row.transfer_s,
+                     transfer_bytes=row.cut.transfer_bytes, **edge_side)
     tail = StageSpec(scenario=remote, op_names=schedulable[index:],
-                     compute_s=plan.remote_s, **remote_side)
+                     compute_s=row.remote_s, **remote_side)
     return Deployment(kind="split", link=link.name, stages=(head, tail))
 
 
@@ -209,20 +130,19 @@ def lower_split(edge: Scenario, remote: Scenario, link: NetworkLink | str, *,
                 runner: "Runner | None" = None) -> Deployment:
     """Lower one (edge scenario, remote scenario, link) split to a Deployment.
 
-    With ``cut_index`` the plan at that cut is lowered; otherwise the
-    latency-optimal cut is chosen (exactly :meth:`SplitPlanner.best`).  The
-    all-edge cut normalizes to a single-node deployment; every other cut
-    becomes a two-stage ``"split"`` deployment whose
-    :func:`as_split_plan` projection equals the planner's plan exactly.
+    With ``cut_index`` the cut at that index is lowered; otherwise the
+    latency-optimal cut is chosen (the first one on ties).  The all-edge
+    cut normalizes to a single-node deployment; every other cut becomes a
+    two-stage ``"split"`` deployment.
     """
     link = resolve_link(link)
-    plans, schedulable, edge_side, remote_side = _split_context(
+    rows, schedulable, edge_side, remote_side = _split_context(
         edge, remote, link, runner)
     if cut_index is None:
-        cut_index = min(range(len(plans)), key=lambda i: plans[i].total_s)
-    plan = plans[cut_index]
+        cut_index = _best_index(rows)
     return _deployment_from_split(
-        plan, edge, remote, schedulable, link, edge_side, remote_side)
+        rows[cut_index], edge, remote, schedulable, link, edge_side,
+        remote_side)
 
 
 def split_deployments(edge: Scenario, remote: Scenario,
@@ -230,34 +150,14 @@ def split_deployments(edge: Scenario, remote: Scenario,
                       runner: "Runner | None" = None) -> list[Deployment]:
     """Lower the FULL cut sweep, input-side cut first.
 
-    One engine session per side prices every cut (the planner's prefix-sum
-    sweep), so enumerating all placements of a pair costs no more than
-    pricing its best one.
+    ``[0]`` is the all-remote split and ``[-1]`` the all-edge single-node
+    deployment.  One Runner session per side prices every cut (one
+    prefix-sum sweep), so enumerating all placements of a pair costs no
+    more than pricing its best one.
     """
     link = resolve_link(link)
-    plans, schedulable, edge_side, remote_side = _split_context(
+    rows, schedulable, edge_side, remote_side = _split_context(
         edge, remote, link, runner)
-    return [_deployment_from_split(plan, edge, remote, schedulable, link,
+    return [_deployment_from_split(row, edge, remote, schedulable, link,
                                    edge_side, remote_side)
-            for plan in plans]
-
-
-def as_split_plan(deployment: Deployment) -> SplitPlan:
-    """Project a two-stage split deployment back onto its :class:`SplitPlan`.
-
-    Inverse of :func:`lower_split` for non-degenerate cuts:
-    ``as_split_plan(lower_split(e, r, link, cut_index=k))`` equals
-    ``SplitPlanner.sweep()[k]`` exactly (dataclass equality, zero float
-    tolerance).  All-edge deployments normalize to single-node and carry no
-    cut anymore, so they cannot be projected.
-    """
-    if deployment.kind != "split" or deployment.num_stages != 2:
-        raise ValueError(
-            f"expected a two-stage split deployment, got {deployment.kind!r} "
-            f"with {deployment.num_stages} stage(s)")
-    head, tail = deployment.stages
-    ops = head.op_names or ()
-    cut = CutPoint(index=len(ops), after_op=ops[-1] if ops else "",
-                   transfer_bytes=head.transfer_bytes)
-    return SplitPlan(cut=cut, edge_s=head.compute_s,
-                     transfer_s=head.transfer_s, remote_s=tail.compute_s)
+            for row in rows]

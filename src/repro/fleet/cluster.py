@@ -142,8 +142,9 @@ class ServiceProfile:
 
     Attributes:
         batch_wall_s: seconds to finish a whole batch, indexed by
-            ``batch - 1`` (``batched_latency_fn`` semantics: per-inference
-            latency times the batch size).  For pipelined pools this is
+            ``batch - 1``: per-inference latency at that batch size times
+            the batch size (:meth:`batch_time_s` is the callable form
+            ``simulate_batch_serving`` takes).  For pipelined pools this is
             the one-entry end-to-end latency of a lone request.
         max_batch: effective batching limit — the requested limit, capped
             below the first batch size whose deployment failed.

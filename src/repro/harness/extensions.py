@@ -171,41 +171,41 @@ def ext_cloud_edge_split() -> ResultTable:
     the offloading trade-off the paper's introduction frames (privacy and
     connectivity aside, offloading only wins when the link can carry it).
     """
-    from repro.distribution import SplitPlanner, load_link
+    from repro.distribution import split_deployments
 
     table = ResultTable(
         "Extension: latency-optimal cloud-edge split (remote = GTX Titan X)",
         ["link", "all_edge_ms", "all_remote_ms", "best_ms", "best_cut", "decision"],
     )
-    remote_device = load_device("GTX Titan X")
     for model_name, edge_name, edge_framework in (
         ("VGG16", "Raspberry Pi 3B", "PyTorch"),
         ("MobileNet-v2", "Jetson TX2", "PyTorch"),
         ("ResNet-50", "Jetson TX2", "PyTorch"),
     ):
-        graph = load_model(model_name)
-        edge = load_framework(edge_framework).deploy(graph, load_device(edge_name))
-        remote = load_framework("PyTorch").deploy(graph, remote_device)
-        base = SplitPlanner(edge, remote, load_link("ethernet"))
+        edge = Scenario(model_name, edge_name, edge_framework)
+        remote = Scenario(model_name, "GTX Titan X", "PyTorch")
         for link_name in ("ethernet", "wifi", "bluetooth"):
-            # Reprice the shared per-op timings per link instead of
-            # rebuilding two engine sessions each time.
-            planner = (base if link_name == "ethernet"
-                       else base.with_link(load_link(link_name)))
-            best = planner.best()
-            if best.cut.index == 0:
-                decision = "offload all"
-            elif best.is_all_edge:
+            # Input-side cut first: [0] ships everything, [-1] stays local.
+            deployments = split_deployments(edge, remote, link_name,
+                                            runner=_RUNNER)
+            all_remote, all_edge = deployments[0], deployments[-1]
+            best = min(deployments, key=lambda d: d.latency_s)
+            if best.is_single_node:
                 decision = "stay local"
+                # The all-edge cut falls after the model's last op, which
+                # the all-remote tail runs last.
+                best_cut = all_remote.stages[-1].op_names[-1]
+            elif not best.stages[0].op_names:
+                decision, best_cut = "offload all", "(input)"
             else:
-                decision = "split"
+                decision, best_cut = "split", best.stages[0].op_names[-1]
             table.add_row(
                 f"{model_name} @ {edge_name} / {link_name}",
                 link=link_name,
-                all_edge_ms=planner.all_edge().total_s * 1e3,
-                all_remote_ms=planner.all_remote().total_s * 1e3,
-                best_ms=best.total_s * 1e3,
-                best_cut=best.cut.after_op or "(input)",
+                all_edge_ms=all_edge.latency_s * 1e3,
+                all_remote_ms=all_remote.latency_s * 1e3,
+                best_ms=best.latency_s * 1e3,
+                best_cut=best_cut,
                 decision=decision,
             )
     return table
@@ -222,12 +222,12 @@ def ext_collaborative_pipeline() -> ResultTable:
         caption="Throughput scales until one indivisible convolution becomes "
         "the bottleneck stage.",
     )
-    deployed = load_framework("TensorFlow").deploy(
-        load_model("TinyYolo"), load_device("Raspberry Pi 3B"))
+    session = _RUNNER.session(
+        Scenario("TinyYolo", "Raspberry Pi 3B", "TensorFlow"))
     link = load_link("wifi")
-    baseline = partition_pipeline(deployed, 1, link).throughput_fps
+    baseline = partition_pipeline(session, 1, link).throughput_fps
     for num_devices in (1, 2, 3, 4, 6, 8):
-        plan = partition_pipeline(deployed, num_devices, link)
+        plan = partition_pipeline(session, num_devices, link)
         table.add_row(
             f"{num_devices} device(s)",
             throughput_fps=plan.throughput_fps,
@@ -311,11 +311,8 @@ def ext_batch_serving() -> ResultTable:
     above 120 req/s; the dynamic-batching server rides the engine's batch
     amortization far past it.
     """
-    from repro.workloads import (
-        PoissonArrivals,
-        batched_latency_fn,
-        simulate_batch_serving,
-    )
+    from repro.fleet import PoolSpec, resolve_profiles
+    from repro.workloads import PoissonArrivals, simulate_batch_serving
 
     table = ResultTable(
         "Extension: ResNet-50 on RTX 2080, FIFO vs dynamic batching (max 32)",
@@ -324,13 +321,16 @@ def ext_batch_serving() -> ResultTable:
         caption="p99 end-to-end latency per arrival rate; batch-1 capacity "
         "is ~120 req/s.",
     )
-    deployed = load_framework("PyTorch").deploy(
-        load_model("ResNet-50"), load_device("RTX 2080"))
-    batch_time = batched_latency_fn(deployed, max_batch=32)
+    pool = PoolSpec(name="rtx", scenario=Scenario("ResNet-50", "RTX 2080",
+                                                  "PyTorch"),
+                    replicas=1, max_batch=32)
+    profile = resolve_profiles([pool], runner=_RUNNER)[pool.name]
+    batch_time = profile.batch_time_s
     for rate in (50.0, 100.0, 200.0, 400.0):
         arrivals = PoissonArrivals(rate, seed=21).generate(20.0)
         single = simulate_batch_serving(arrivals, batch_time, 1)
-        batched = simulate_batch_serving(arrivals, batch_time, 32)
+        batched = simulate_batch_serving(arrivals, batch_time,
+                                         profile.max_batch)
         table.add_row(
             f"{rate:.0f} req/s",
             rate_rps=rate,

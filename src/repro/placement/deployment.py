@@ -1,18 +1,16 @@
-"""Deployment: the one type every serving layer speaks.
+"""Deployment: the one serving-plan type every serving layer speaks.
 
-Before this package, the repo had three disjoint notions of "where a model
-runs": a :class:`~repro.runtime.scenario.Scenario` served on one node, a
-:class:`~repro.distribution.split.SplitPlan` across a link, and a
-:class:`~repro.distribution.pipeline.PipelinePlan` across a chain of
-stages — and only the first could be priced and served by the fleet.  A
-:class:`Deployment` subsumes all three: an ordered tuple of
+A model can run whole on one :class:`~repro.runtime.scenario.Scenario`,
+split Neurosurgeon-style across a link, or pipelined across a chain of
+devices.  A :class:`Deployment` describes all three: an ordered tuple of
 :class:`StageSpec` stages, each a contiguous slice of the model's
 schedulable ops on one scenario, with the outgoing transfer cost of the
 cut that follows it.
 
 The lowering rules in :mod:`repro.distribution.split` and
-:mod:`repro.distribution.pipeline` emit Deployments; the placement
-optimizer (:mod:`repro.placement.optimizer`) enumerates and ranks them;
+:mod:`repro.distribution.pipeline` price stages from Runner sessions and
+emit Deployments; the placement optimizer
+(:mod:`repro.placement.optimizer`) enumerates and ranks them;
 ``fleet.cluster`` prices a :class:`~repro.fleet.cluster.ServiceProfile`
 from any of them, and ``fleet.simulate`` serves the multi-stage ones as
 chained stage queues.  Single-stage Deployments degrade to the plain

@@ -233,12 +233,16 @@ def _split_deployments(model: str, edge_devices: Sequence[str],
 
     Each side runs its single-node-best framework (already picked by the
     grid sweep), so a pair costs one prefix-sum sweep of the cut space.
-    Only the two kept cuts are lowered: a plan's ``total_s`` sums the same
-    three floats in the same order as its deployment's ``latency_s``, so
-    the first-minimum plan lowers to the first-minimum deployment.
+    Only the two kept cuts are lowered: a priced cut's ``total_s`` sums the
+    same three floats in the same order as its deployment's ``latency_s``,
+    so the first-minimum cut lowers to the first-minimum deployment.
     """
     from repro.distribution.network import resolve_link
-    from repro.distribution.split import _deployment_from_split, _split_context
+    from repro.distribution.split import (
+        _best_index,
+        _deployment_from_split,
+        _split_context,
+    )
 
     network = resolve_link(link)
     best_scenario = {d.devices[0]: d.stages[0].scenario for d in singles}
@@ -253,12 +257,12 @@ def _split_deployments(model: str, edge_devices: Sequence[str],
             remote_scenario = best_scenario.get(remote_device)
             if remote_scenario is None:
                 continue
-            plans, schedulable, edge_side, remote_side = _split_context(
+            rows, schedulable, edge_side, remote_side = _split_context(
                 edge_scenario, remote_scenario, network, runner)
-            best = min(range(len(plans)), key=lambda i: plans[i].total_s)
+            best = _best_index(rows)
             for index in [best] if best == 0 else [best, 0]:
                 deployments.append(_deployment_from_split(
-                    plans[index], edge_scenario, remote_scenario,
+                    rows[index], edge_scenario, remote_scenario,
                     schedulable, network, edge_side, remote_side))
     return deployments
 
@@ -306,9 +310,14 @@ def search_placements(model: str, *,
         max_pipeline_depth: deepest homogeneous pipeline to consider
             (1 = no pipelines).
         runner: scenario runner (defaults to the process-wide one).
+
+    Raises:
+        UnknownEntryError: ``model`` is not in the model registry.
     """
     from repro.distribution.network import resolve_link
+    from repro.models.zoo import MODEL_REGISTRY
 
+    MODEL_REGISTRY.display_name(model)  # unknown models fail like load_model
     if max_pipeline_depth < 1:
         raise ValueError(
             f"max_pipeline_depth must be at least 1, got {max_pipeline_depth}")

@@ -17,11 +17,7 @@ from repro.workloads.arrivals import (
     first_n,
     reseeded,
 )
-from repro.workloads.batch_server import (
-    BatchServerStats,
-    batched_latency_fn,
-    simulate_batch_serving,
-)
+from repro.workloads.batch_server import BatchServerStats, simulate_batch_serving
 from repro.workloads.energy_budget import EnergyBudget, duty_cycle_budget
 from repro.workloads.queueing import QueueStats, simulate_serving
 
@@ -34,7 +30,6 @@ __all__ = [
     "PeriodicArrivals",
     "PoissonArrivals",
     "QueueStats",
-    "batched_latency_fn",
     "duty_cycle_budget",
     "first_n",
     "reseeded",

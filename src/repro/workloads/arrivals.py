@@ -174,7 +174,16 @@ class DiurnalArrivals:
             return times
         rng = np.random.default_rng(self.seed + 1)
         accept = rng.uniform(0.0, 1.0, size=times.shape)
-        keep = accept * self.peak_rate_hz < self.rate_at(times)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rates = self.rate_at(times)
+        if not np.all(np.isfinite(rates)):
+            # A period this short overflows the cycle angle; thinning would
+            # reject every arrival, and ``first_n`` would grow the horizon
+            # without bound looking for one.
+            raise ValueError(
+                f"period_s={self.period_s!r} is too short to resolve over "
+                f"a {horizon_s!r} s horizon")
+        keep = accept * self.peak_rate_hz < rates
         return times[keep]
 
 

@@ -5,7 +5,8 @@ meets the request stream here: a server that, whenever it frees up, grabs
 every queued request (up to ``max_batch``) and runs them as one batch.
 Batching raises throughput via the engine's weight-amortization and
 unit-fill effects, at the cost of queueing the requests that form the
-batch.
+batch.  Engine-backed batch times come from a fleet pool's resolved
+profile (:meth:`repro.fleet.cluster.ServiceProfile.batch_time_s`).
 """
 
 from __future__ import annotations
@@ -15,9 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-from repro.engine.executor import EngineConfig, InferenceSession
-from repro.frameworks.base import DeployedModel
 
 
 @dataclass(frozen=True)
@@ -33,28 +31,6 @@ class BatchServerStats:
     p99_sojourn_s: float
     p999_sojourn_s: float
     utilization: float
-
-
-def batched_latency_fn(deployed: DeployedModel,
-                       max_batch: int) -> Callable[[int], float]:
-    """Per-BATCH wall time as a function of batch size, engine-backed.
-
-    Sessions are built lazily per batch size and cached; the returned
-    callable gives the time to finish a whole batch (per-inference latency
-    times the batch size).
-    """
-    cache: dict[int, float] = {}
-
-    def batch_time(batch_size: int) -> float:
-        if batch_size not in cache:
-            session = InferenceSession(  # repro: allow[ARCH001] per-batch sweep
-                deployed, config=EngineConfig(batch_size=batch_size))
-            cache[batch_size] = session.latency_s * batch_size
-        return cache[batch_size]
-
-    # Pre-validate the largest batch so OOM surfaces at setup, not mid-run.
-    batch_time(max_batch)
-    return batch_time
 
 
 def simulate_batch_serving(

@@ -1,10 +1,11 @@
 """Reference implementations the distribution layer is pinned against.
 
 These are the original, deliberately naive algorithms: the quadratic cut
-enumeration (re-scan every producer for every cut) and the scalar
-bottleneck dynamic program over a device chain.  The production code
-must reproduce them exactly — same cuts, same stage boundaries, same
-floats.
+enumeration (re-scan every producer for every cut), the per-cut split
+pricing (every prefix and suffix summed from scratch, one session per
+side) and the scalar bottleneck dynamic program over a device chain.  The
+production code must reproduce them exactly — same cuts, same stage
+boundaries, same floats.
 """
 
 from __future__ import annotations
@@ -60,6 +61,38 @@ def oracle_cut_points(graph: Graph) -> list[CutPoint]:
             transfer_bytes=crossing,
         ))
     return points
+
+
+def oracle_split_rows(edge: DeployedModel, remote: DeployedModel,
+                      link: NetworkLink
+                      ) -> list[tuple[CutPoint, float, float, float]]:
+    """``(cut, edge_s, transfer_s, remote_s)`` for every cut, input first.
+
+    The edge prefix runs on ``edge`` and pays its session overhead; the
+    remote suffix runs on ``remote`` and pays its own.  The all-remote
+    cut has no edge leg and the all-edge cut neither a link nor a remote
+    leg: the result stays on the device.
+    """
+    schedulable = [op.name for op in edge.graph.schedulable_ops()]
+    sides = []
+    for deployed in (edge, remote):
+        plan = InferenceSession(deployed).plan
+        times = {t.op.name: t.latency_s for t in plan.timings}
+        sides.append(([times.get(name, 0.0) for name in schedulable],
+                      plan.session_overhead_s + plan.input_transfer_s))
+    (edge_values, edge_overhead), (remote_values, remote_overhead) = sides
+    count = len(schedulable)
+    rows = []
+    for cut in oracle_cut_points(edge.graph):
+        index = cut.index
+        transfer = (0.0 if count == 0 or index == count
+                    else link.transfer_time_s(cut.transfer_bytes))
+        edge_s = (0.0 if index == 0
+                  else sum(edge_values[:index]) + edge_overhead)
+        remote_s = (0.0 if index == count
+                    else sum(remote_values[index:]) + remote_overhead)
+        rows.append((cut, edge_s, transfer, remote_s))
+    return rows
 
 
 def oracle_pipeline_inputs(deployments: list[DeployedModel], link: NetworkLink

@@ -1,5 +1,6 @@
-"""The linear cut enumeration and the vectorized pipeline DP, pinned
-exactly to their naive reference implementations (``oracles.py``)."""
+"""The linear cut enumeration, the split pricing and the vectorized
+pipeline DP, pinned exactly to their naive reference implementations
+(``oracles.py``)."""
 
 import re
 
@@ -7,11 +8,13 @@ import pytest
 
 from repro.core.errors import ReproError
 from repro.distribution import (
+    LINK_PRESETS,
     NetworkLink,
     cut_points,
     load_link,
     partition_pipeline,
     partition_pipeline_heterogeneous,
+    split_deployments,
 )
 from repro.engine import clear_caches
 from repro.engine.cache import cached_deploy
@@ -21,6 +24,7 @@ from repro.graphs.transforms import fuse_graph
 from repro.hardware import load_device
 from repro.models import list_models, load_model
 from repro.placement.optimizer import REMOTE_FRAMEWORK_CANDIDATES
+from repro.runtime import Scenario, default_runner
 from repro.runtime.runner import BEST_FRAMEWORK_CANDIDATES
 from tests.distribution.oracles import (
     oracle_chain_dp,
@@ -28,6 +32,7 @@ from tests.distribution.oracles import (
     oracle_partition_pipeline,
     oracle_partition_pipeline_heterogeneous,
     oracle_pipeline_inputs,
+    oracle_split_rows,
 )
 
 ZOO = list_models()
@@ -57,6 +62,13 @@ def _deployed(model, device, framework):
         return None  # Table V: this pair cannot serve the model
 
 
+def _session(model, device, framework):
+    try:
+        return default_runner().session(Scenario(model, device, framework))
+    except ReproError:
+        return None  # Table V: this pair cannot serve the model
+
+
 def _same_outcome(new, oracle):
     """Both return equal plans, or both raise the same ValueError."""
     try:
@@ -80,20 +92,54 @@ def test_cut_points_match_oracle_on_every_search_deployment(model):
         assert deployed.cut_points() == expected, (device, framework)
 
 
+@pytest.mark.parametrize("model", ZOO)
+def test_split_matches_oracle_on_every_link(model):
+    """Every cut of every link preset prices to the oracle's floats, and
+    lowers to the stage fields the serving layers read."""
+    edge = Scenario(model, "Jetson TX2", "PyTorch")
+    remote = Scenario(model, "GTX Titan X", "PyTorch")
+    edge_session = _session(model, "Jetson TX2", "PyTorch")
+    remote_session = _session(model, "GTX Titan X", "PyTorch")
+    if edge_session is None or remote_session is None:
+        return
+    schedulable = tuple(
+        op.name for op in edge_session.deployed.graph.schedulable_ops())
+    for link in LINK_PRESETS.values():
+        rows = oracle_split_rows(edge_session.deployed,
+                                 remote_session.deployed, link)
+        lowered = split_deployments(edge, remote, link)
+        assert len(lowered) == len(rows), link.name
+        *splits, all_edge = lowered
+        for deployment, (cut, edge_s, transfer_s, remote_s) in zip(splits, rows):
+            head, tail = deployment.stages
+            assert deployment.kind == "split" and deployment.link == link.name
+            assert head.op_names == schedulable[:cut.index]
+            assert tail.op_names == schedulable[cut.index:]
+            assert (head.compute_s, head.transfer_s, tail.compute_s) == (
+                edge_s, transfer_s, remote_s), (link.name, cut)
+            assert head.transfer_bytes == cut.transfer_bytes
+            assert deployment.latency_s == edge_s + transfer_s + remote_s
+        cut, edge_s, transfer_s, remote_s = rows[-1]
+        assert (transfer_s, remote_s) == (0.0, 0.0)
+        assert all_edge.is_single_node
+        assert all_edge.stages[0].compute_s == edge_s
+        assert all_edge.latency_s == edge_s + transfer_s + remote_s
+
+
 @pytest.mark.parametrize("link", LINKS)
 @pytest.mark.parametrize("model", ZOO)
 def test_pipeline_matches_oracle_at_every_depth(model, link):
     link = load_link(link)
     for device, framework in PIPELINE_PAIRS:
-        deployed = _deployed(model, device, framework)
-        if deployed is None:
+        session = _session(model, device, framework)
+        if session is None:
             continue
         # Depths only change the DP, so the oracle's inputs are shared.
         (prefix,), transfer_at, schedulable = oracle_pipeline_inputs(
-            [deployed], link)
+            [session.deployed], link)
         for depth in range(1, MAX_DEPTH + 1):
             _same_outcome(
-                lambda: partition_pipeline(deployed, depth, link),
+                lambda: partition_pipeline(session, depth, link),
                 lambda: oracle_chain_dp([prefix] * depth, transfer_at,
                                         schedulable))
 
@@ -102,11 +148,12 @@ def test_pipeline_matches_oracle_at_every_depth(model, link):
 def test_heterogeneous_pipeline_matches_oracle(chain):
     link = load_link("wifi")
     for model in ZOO:
-        deployments = [_deployed(model, device, "PyTorch") for device in chain]
-        if None in deployments:
+        sessions = [_session(model, device, "PyTorch") for device in chain]
+        if None in sessions:
             continue
+        deployments = [session.deployed for session in sessions]
         _same_outcome(
-            lambda: partition_pipeline_heterogeneous(deployments, link),
+            lambda: partition_pipeline_heterogeneous(sessions, link),
             lambda: oracle_partition_pipeline_heterogeneous(deployments, link))
 
 
@@ -147,28 +194,26 @@ class TestCutEdgeCases:
 
 
 class TestPipelineEdgeCases:
-    def _deployed(self):
-        return load_framework("TensorFlow").deploy(
-            load_model("CifarNet"), load_device("Raspberry Pi 3B"))
+    def _session(self):
+        return _session("CifarNet 32x32", "Raspberry Pi 3B", "TensorFlow")
 
     def test_one_op_per_device(self):
-        deployed = self._deployed()
-        n = len(deployed.graph.schedulable_ops())
-        plan = partition_pipeline(deployed, n, load_link("wifi"))
-        assert plan == oracle_partition_pipeline(deployed, n, load_link("wifi"))
+        session = self._session()
+        n = len(session.deployed.graph.schedulable_ops())
+        plan = partition_pipeline(session, n, load_link("wifi"))
+        assert plan == oracle_partition_pipeline(session.deployed, n,
+                                                 load_link("wifi"))
         assert [len(stage.op_names) for stage in plan.stages] == [1] * n
 
     def test_more_devices_than_ops_raises(self):
-        deployed = self._deployed()
-        n = len(deployed.graph.schedulable_ops())
+        session = self._session()
+        n = len(session.deployed.graph.schedulable_ops())
         with pytest.raises(ValueError, match=f"cannot spread {n} ops"):
-            partition_pipeline(deployed, n + 1, load_link("wifi"))
+            partition_pipeline(session, n + 1, load_link("wifi"))
 
-    def test_ties_pick_the_earliest_start(self, monkeypatch):
+    def test_ties_pick_the_earliest_start(self):
         """Op times [1, 0, 0, 1] over a free link: every two-stage split
         has bottleneck 1, and the first boundary wins."""
-        import repro.distribution.pipeline as pipeline
-
         b = GraphBuilder("tie")
         x = b.input((4,))
         for _ in range(4):
@@ -184,11 +229,11 @@ class TestPipelineEdgeCases:
 
         class _Session:
             def __init__(self, deployed):
+                self.deployed = deployed
                 self.plan = type("Plan", (), {"timings": [
                     _Timing(op) for op in deployed.graph.schedulable_ops()]})
 
-        monkeypatch.setattr(pipeline, "InferenceSession", _Session)
-        plan = partition_pipeline(deployed, 2, IDEAL_LINK)
+        plan = partition_pipeline(_Session(deployed), 2, IDEAL_LINK)
         assert plan.stages[0].op_names == (names[0],)
         assert plan.bottleneck_s == 1.0
 

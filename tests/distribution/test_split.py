@@ -1,80 +1,82 @@
-"""Neurosurgeon-style split planner."""
+"""Neurosurgeon-style split over Runner sessions, lowered to Deployments."""
 
 import pytest
 
-from repro.distribution import SplitPlanner, load_link
-from repro.frameworks import load_framework
-from repro.hardware import load_device
-from repro.models import load_model
+from repro.distribution import lower_split, split_deployments
+from repro.runtime import Scenario, default_runner
 
 
-def _planner(model="MobileNet-v2", edge_device="Jetson TX2",
-             remote_device="GTX Titan X", link="wifi",
-             edge_framework="PyTorch") -> SplitPlanner:
-    graph = load_model(model)
-    edge = load_framework(edge_framework).deploy(graph, load_device(edge_device))
-    remote = load_framework("PyTorch").deploy(graph, load_device(remote_device))
-    return SplitPlanner(edge, remote, load_link(link))
+def _sweep(model="MobileNet-v2", edge_device="Jetson TX2",
+           remote_device="GTX Titan X", link="wifi",
+           edge_framework="PyTorch"):
+    return split_deployments(Scenario(model, edge_device, edge_framework),
+                             Scenario(model, remote_device, "PyTorch"), link)
+
+
+def _best(*args, **kwargs):
+    return min(_sweep(*args, **kwargs), key=lambda d: d.latency_s)
 
 
 class TestSweep:
     def test_covers_all_cuts(self):
-        planner = _planner()
-        plans = planner.sweep()
-        assert len(plans) == len(planner.edge.graph.schedulable_ops()) + 1
+        lowered = _sweep()
+        session = default_runner().session(
+            Scenario("MobileNet-v2", "Jetson TX2", "PyTorch"))
+        assert len(lowered) == len(session.deployed.graph.schedulable_ops()) + 1
 
     def test_endpoints(self):
-        planner = _planner()
-        all_remote = planner.all_remote()
-        all_edge = planner.all_edge()
-        assert all_remote.edge_s == 0.0
-        assert all_remote.transfer_s > 0.0
-        assert all_edge.remote_s == 0.0
-        assert all_edge.transfer_s == 0.0
+        lowered = _sweep()
+        all_remote, all_edge = lowered[0], lowered[-1]
+        head, tail = all_remote.stages
+        assert head.op_names == () and head.compute_s == 0.0
+        assert head.transfer_s > 0.0
+        assert all_edge.is_single_node
+        assert all_edge.stages[0].transfer_s == 0.0
 
     def test_edge_time_monotone_in_cut_depth(self):
-        plans = _planner().sweep()
-        edge_times = [plan.edge_s for plan in plans]
+        edge_times = [deployment.stages[0].compute_s
+                      for deployment in _sweep()]
         assert edge_times == sorted(edge_times)
 
     def test_mismatched_models_rejected(self):
-        a = load_framework("PyTorch").deploy(load_model("ResNet-18"),
-                                             load_device("Jetson TX2"))
-        b = load_framework("PyTorch").deploy(load_model("ResNet-50"),
-                                             load_device("GTX Titan X"))
         with pytest.raises(ValueError, match="one model"):
-            SplitPlanner(a, b, load_link("wifi"))
+            split_deployments(Scenario("ResNet-18", "Jetson TX2", "PyTorch"),
+                              Scenario("ResNet-50", "GTX Titan X", "PyTorch"),
+                              "wifi")
 
 
 class TestBestPlan:
     def test_slow_edge_offloads_everything(self):
         """RPi-class edge: any remote plan beats 45 s of local VGG16."""
-        planner = _planner("VGG16", edge_device="Raspberry Pi 3B",
-                           remote_device="GTX Titan X", link="wifi")
-        best = planner.best()
-        assert best.cut.index == 0
-        assert planner.offload_speedup() > 50
+        lowered = _sweep("VGG16", edge_device="Raspberry Pi 3B",
+                         remote_device="GTX Titan X", link="wifi")
+        best = min(lowered, key=lambda d: d.latency_s)
+        assert best is lowered[0]
+        assert lowered[-1].latency_s / best.latency_s > 50
 
     def test_fast_edge_slow_link_stays_local(self):
         """TX2 over bluetooth: shipping 600 KB of input costs seconds."""
-        planner = _planner("MobileNet-v2", link="bluetooth")
-        best = planner.best()
-        assert best.is_all_edge
-        assert planner.offload_speedup() == pytest.approx(1.0)
+        lowered = _sweep("MobileNet-v2", link="bluetooth")
+        best = min(lowered, key=lambda d: d.latency_s)
+        assert best.is_single_node
+        assert lowered[-1].latency_s / best.latency_s == pytest.approx(1.0)
 
     def test_fast_link_flips_the_decision(self):
-        local = _planner("ResNet-50", link="bluetooth").best()
-        remote = _planner("ResNet-50", link="ethernet").best()
-        assert local.is_all_edge
-        assert not remote.is_all_edge
+        local = _best("ResNet-50", link="bluetooth")
+        remote = _best("ResNet-50", link="ethernet")
+        assert local.is_single_node
+        assert not remote.is_single_node
 
     def test_best_never_worse_than_endpoints(self):
         for link in ("wifi", "lte", "ethernet"):
-            planner = _planner("ResNet-50", link=link)
-            best = planner.best().total_s
-            assert best <= planner.all_edge().total_s + 1e-12
-            assert best <= planner.all_remote().total_s + 1e-12
+            lowered = _sweep("ResNet-50", link=link)
+            best = lower_split(Scenario("ResNet-50", "Jetson TX2", "PyTorch"),
+                               Scenario("ResNet-50", "GTX Titan X", "PyTorch"),
+                               link).latency_s
+            assert best == min(d.latency_s for d in lowered)
+            assert best <= lowered[-1].latency_s + 1e-12
+            assert best <= lowered[0].latency_s + 1e-12
 
     def test_describe(self):
-        plan = _planner().best()
-        assert "ms" in plan.describe()
+        text = _best().describe()
+        assert "ms" in text

@@ -11,13 +11,10 @@ from repro.distribution.network import NetworkLink
 
 
 @functools.lru_cache(maxsize=None)
-def _deployed(model, device, framework):
-    from repro.frameworks import load_framework
-    from repro.hardware import load_device
-    from repro.models import load_model
+def _session(model, device, framework):
+    from repro.runtime import Scenario, default_runner
 
-    return load_framework(framework).deploy(load_model(model),
-                                            load_device(device))
+    return default_runner().session(Scenario(model, device, framework))
 
 
 def _links():
@@ -112,20 +109,13 @@ class TestPipelineOptimality:
         """The DP's bottleneck equals exhaustive search over all contiguous
         partitions, for every device count on a real small model."""
         from repro.distribution import load_link, partition_pipeline
-        from repro.engine import InferenceSession
-        from repro.frameworks import load_framework
-        from repro.hardware import load_device
-        from repro.models.cifarnet import cifarnet
-
-        deployed = load_framework("TensorFlow").deploy(
-            cifarnet(), load_device("Raspberry Pi 3B"))
-        session = InferenceSession(deployed)
-        timings = [t.latency_s for t in session.plan.timings]
         from repro.distribution.partition import cut_points
 
+        session = _session("CifarNet 32x32", "Raspberry Pi 3B", "TensorFlow")
+        timings = [t.latency_s for t in session.plan.timings]
         link = load_link("wifi")
         transfer = [link.transfer_time_s(c.transfer_bytes)
-                    for c in cut_points(deployed.graph)]
+                    for c in cut_points(session.deployed.graph)]
         n = len(timings)
 
         def brute_force(devices: int) -> float:
@@ -142,37 +132,43 @@ class TestPipelineOptimality:
             return best
 
         for devices in (1, 2, 3):
-            plan = partition_pipeline(deployed, devices, link)
+            plan = partition_pipeline(session, devices, link)
             assert abs(plan.bottleneck_s - brute_force(devices)) < 1e-12, devices
 
 
 class TestSplitAccountingProperties:
-    """Every split plan's total decomposes exactly into its three legs."""
+    """Every split's latency decomposes exactly into its three legs."""
 
     @given(link=_links())
     @settings(max_examples=40, deadline=None)
     def test_total_is_edge_plus_transfer_plus_remote(self, link):
-        from repro.distribution import SplitPlanner
+        from repro.distribution import split_deployments
+        from repro.runtime import Scenario
 
-        planner = SplitPlanner(
-            _deployed("MobileNet-v2", "Raspberry Pi 3B", "TFLite"),
-            _deployed("MobileNet-v2", "GTX Titan X", "PyTorch"), link)
-        for plan in planner.sweep():
-            assert plan.total_s == plan.edge_s + plan.transfer_s + plan.remote_s
-            assert plan.edge_s >= 0.0
-            assert plan.transfer_s >= 0.0
-            assert plan.remote_s >= 0.0
+        lowered = split_deployments(
+            Scenario("MobileNet-v2", "Raspberry Pi 3B", "TFLite"),
+            Scenario("MobileNet-v2", "GTX Titan X", "PyTorch"), link)
+        *splits, all_edge = lowered
+        for deployment in splits:
+            head, tail = deployment.stages
+            assert deployment.latency_s == (
+                head.compute_s + head.transfer_s + tail.compute_s)
+            assert head.compute_s >= 0.0
+            assert head.transfer_s >= 0.0
+            assert tail.compute_s >= 0.0
+        assert all_edge.latency_s == all_edge.stages[0].compute_s
 
     @given(link=_links())
     @settings(max_examples=40, deadline=None)
     def test_best_cut_never_loses_to_any_cut(self, link):
-        from repro.distribution import SplitPlanner
+        from repro.distribution import lower_split, split_deployments
+        from repro.runtime import Scenario
 
-        planner = SplitPlanner(
-            _deployed("MobileNet-v2", "Jetson TX2", "PyTorch"),
-            _deployed("MobileNet-v2", "GTX Titan X", "PyTorch"), link)
-        best = planner.best().total_s
-        assert all(best <= plan.total_s for plan in planner.sweep())
+        edge = Scenario("MobileNet-v2", "Jetson TX2", "PyTorch")
+        remote = Scenario("MobileNet-v2", "GTX Titan X", "PyTorch")
+        best = lower_split(edge, remote, link).latency_s
+        assert all(best <= deployment.latency_s
+                   for deployment in split_deployments(edge, remote, link))
 
 
 class TestPipelineThroughputProperties:
@@ -184,7 +180,7 @@ class TestPipelineThroughputProperties:
         from repro.distribution import partition_pipeline
 
         plan = partition_pipeline(
-            _deployed("CifarNet", "Raspberry Pi 3B", "TensorFlow"),
+            _session("CifarNet 32x32", "Raspberry Pi 3B", "TensorFlow"),
             devices, link)
         assert plan.bottleneck_s == max(s.stage_s for s in plan.stages)
         for stage in plan.stages:

@@ -123,6 +123,13 @@ class TestDiurnal:
         with pytest.raises(ValueError):
             DiurnalArrivals(1.0, period_s=0.0)
 
+    def test_unresolvable_period_raises_instead_of_thinning_everything(self):
+        process = DiurnalArrivals(100.0, period_s=5e-324)
+        with pytest.raises(ValueError, match="too short to resolve"):
+            process.generate(1.0)
+        with pytest.raises(ValueError, match="too short to resolve"):
+            first_n(process, 10)
+
 
 class TestProtocol:
     PROCESSES = [

@@ -3,15 +3,20 @@
 import numpy as np
 import pytest
 
-from repro.frameworks import load_framework
-from repro.hardware import load_device
-from repro.models import load_model
+from repro.fleet import PoolSpec, resolve_profiles
+from repro.runtime import Scenario
 from repro.workloads import (
     PoissonArrivals,
-    batched_latency_fn,
     simulate_batch_serving,
     simulate_serving,
 )
+
+
+def _engine_profile(max_batch: int):
+    """ResNet-50 on an RTX 2080, priced for every batch up to ``max_batch``."""
+    pool = PoolSpec(name="rtx", replicas=1, max_batch=max_batch,
+                    scenario=Scenario("ResNet-50", "RTX 2080", "PyTorch"))
+    return resolve_profiles([pool])[pool.name]
 
 
 def _linear_batch_time(per_item: float, setup: float = 0.0):
@@ -84,9 +89,7 @@ class TestBatchingPaysOff:
     def test_engine_backed_batching_on_hpc(self):
         """RTX 2080 under a 300 rps stream: the engine's batch speedup is
         what keeps the queue bounded."""
-        deployed = load_framework("PyTorch").deploy(
-            load_model("ResNet-50"), load_device("RTX 2080"))
-        batch_time = batched_latency_fn(deployed, max_batch=32)
+        batch_time = _engine_profile(32).batch_time_s
         arrivals = PoissonArrivals(300.0, seed=3).generate(20.0)
         unbatched = simulate_batch_serving(arrivals, batch_time, 1)
         batched = simulate_batch_serving(arrivals, batch_time, 32)
@@ -95,19 +98,10 @@ class TestBatchingPaysOff:
         assert batched.throughput_rps > 2 * unbatched.throughput_rps
         assert batched.p99_sojourn_s < unbatched.p99_sojourn_s / 5
 
-    def test_batched_latency_fn_caches_and_validates(self):
-        deployed = load_framework("PyTorch").deploy(
-            load_model("ResNet-50"), load_device("RTX 2080"))
-        fn = batched_latency_fn(deployed, max_batch=8)
-        assert fn(8) == fn(8)  # cached
+    def test_profile_batch_times_amortize(self):
+        profile = _engine_profile(8)
+        fn = profile.batch_time_s
+        assert profile.max_batch == 8
         # Per-batch time grows with batch, per-item time shrinks.
         assert fn(8) > fn(1)
         assert fn(8) / 8 < fn(1)
-
-    def test_batched_latency_fn_surfaces_oom_upfront(self):
-        from repro.core.errors import OutOfMemoryError
-
-        deployed = load_framework("PyTorch").deploy(
-            load_model("VGG16"), load_device("GTX Titan X"))
-        with pytest.raises(OutOfMemoryError):
-            batched_latency_fn(deployed, max_batch=50000)
