@@ -19,7 +19,7 @@ import argparse
 import json
 import math
 import sys
-from typing import NoReturn, Sequence
+from typing import Callable, NoReturn, Sequence
 
 from repro import (
     ReproError,
@@ -41,28 +41,28 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {text!r}")
-    return value
+def _number_type(parse: Callable[[str], float], minimum: float,
+                 what: str) -> Callable[[str], float]:
+    """An argparse type: a finite number of at least ``minimum``."""
+
+    def convert(text: str) -> float:
+        try:
+            value = parse(text)
+            valid = math.isfinite(value) and value >= minimum
+        except (ValueError, OverflowError):
+            valid = False
+        if not valid:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    return convert
 
 
-def _positive_float(text: str) -> float:
-    """argparse type: a finite number above 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(
-            f"must be a finite positive number, got {text!r}")
-    return value
+_positive_int = _number_type(int, 1, "a positive integer")
+_non_negative_int = _number_type(int, 0, "a non-negative integer")
+# The least positive double: "at least it" means "above zero".
+_positive_float = _number_type(float, math.ulp(0.0), "a finite positive number")
+_non_negative_float = _number_type(float, 0.0, "a finite non-negative number")
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
@@ -701,7 +701,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="routing policy")
     fleet_parser.add_argument("--epochs", type=int, default=1024,
                               help="routing epochs (default 1024)")
-    fleet_parser.add_argument("--seed", type=int, default=0,
+    fleet_parser.add_argument("--seed", type=_non_negative_int, default=0,
                               help="workload seed (reports are byte-identical "
                                    "per seed)")
     fleet_parser.add_argument("--admit-limit", type=_positive_int, default=None,
@@ -719,7 +719,8 @@ def build_parser() -> argparse.ArgumentParser:
         "diff", help="compare two result snapshots")
     diff_parser.add_argument("before")
     diff_parser.add_argument("after")
-    diff_parser.add_argument("--tolerance", type=float, default=0.01,
+    diff_parser.add_argument("--tolerance", type=_non_negative_float,
+                             default=0.01,
                              help="relative tolerance for numeric cells")
     diff_parser.set_defaults(handler=_cmd_diff)
     return parser

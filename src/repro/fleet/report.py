@@ -19,10 +19,8 @@ import numpy as np
 REPORT_VERSION = 1
 
 
-def _percentile_s(sojourn_s: np.ndarray, percent: float) -> float:
-    if sojourn_s.size == 0:
-        return 0.0
-    return float(np.percentile(sojourn_s, percent))
+#: The summary's percentiles, taken in one partition of the sojourns.
+_PERCENTS = (50.0, 95.0, 99.0, 99.9)
 
 
 @dataclass(frozen=True)
@@ -40,12 +38,13 @@ class SojournSummary:
     def from_times(cls, sojourn_s: np.ndarray) -> "SojournSummary":
         if sojourn_s.size == 0:
             return cls(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        p50_s, p95_s, p99_s, p999_s = np.percentile(sojourn_s, _PERCENTS).tolist()
         return cls(
             mean_s=float(sojourn_s.mean()),
-            p50_s=_percentile_s(sojourn_s, 50),
-            p95_s=_percentile_s(sojourn_s, 95),
-            p99_s=_percentile_s(sojourn_s, 99),
-            p999_s=_percentile_s(sojourn_s, 99.9),
+            p50_s=p50_s,
+            p95_s=p95_s,
+            p99_s=p99_s,
+            p999_s=p999_s,
             max_s=float(sojourn_s.max()),
         )
 

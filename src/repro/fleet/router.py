@@ -57,6 +57,10 @@ class Router:
         """Clear any cross-epoch state (round-robin offsets etc.)."""
 
 
+#: Offsets, in units of the level's ulp, probed around the analytic level.
+_BRACKET = np.arange(-32.0, 33.0)
+
+
 def water_fill(count: int, base: np.ndarray, limits: np.ndarray) -> np.ndarray:
     """Split ``count`` across nodes, equalizing ``base + quota``.
 
@@ -66,21 +70,47 @@ def water_fill(count: int, base: np.ndarray, limits: np.ndarray) -> np.ndarray:
     nodes with the largest fractional parts (ties broken by index, so the
     split is deterministic).  Returns quotas summing to
     ``min(count, sum(limits))``.
+
+    The level is the last ``high`` of a 64-step bisection whose predicate
+    is the float ``clip(mid - base, 0, limits).sum() >= count``.  That
+    predicate is monotone in ``mid`` (subtraction, clip and float sums all
+    are), so one 2-D evaluation on the doubles around the analytic level
+    brackets its switch point, and the halvings replay on plain floats;
+    numpy runs only for a mid strictly inside the bracket.
     """
     limits = np.minimum(limits, float(count))
     total_cap = float(limits.sum())
     if total_cap <= count:
         return limits.astype(np.int64)
-    # Binary search the water level over the piecewise-linear supply curve.
+    ends = base + limits
     low = float(base.min())
-    high = float((base + limits).max())
+    high = float(ends.max())
+    # Supply is piecewise linear: slope +1 past each base, -1 past each end.
+    points = np.concatenate((base, ends))
+    order = np.argsort(points, kind="stable")
+    points = points[order]
+    slope = np.cumsum(np.where(order < base.size, 1.0, -1.0))
+    supply = np.cumsum(slope[:-1] * np.diff(points))
+    segment = min(int(np.searchsorted(supply, count)), supply.size - 1)
+    below = float(supply[segment - 1]) if segment else 0.0
+    # A crossing segment rises (slope >= 1); the floor only guards rounding.
+    level = (float(points[segment])
+             + (count - below) / max(float(slope[segment]), 1.0))
+    probes = level + _BRACKET * np.spacing(abs(level))
+    hits = np.clip(probes[:, None] - base, 0.0, limits).sum(axis=1) >= count
+    first = int(np.searchsorted(hits, True))
+    false_at = float(probes[first - 1]) if first else -np.inf
+    true_at = float(probes[first]) if first < probes.size else np.inf
     for _ in range(64):
         mid = 0.5 * (low + high)
-        supplied = np.clip(mid - base, 0.0, limits).sum()
-        if supplied < count:
+        if mid <= false_at:
             low = mid
-        else:
+        elif mid >= true_at:
             high = mid
+        elif np.clip(mid - base, 0.0, limits).sum() < count:
+            low = false_at = mid
+        else:
+            high = true_at = mid
     exact = np.clip(high - base, 0.0, limits)
     quotas = np.floor(exact).astype(np.int64)
     shortfall = count - int(quotas.sum())
@@ -92,22 +122,41 @@ def water_fill(count: int, base: np.ndarray, limits: np.ndarray) -> np.ndarray:
     return quotas
 
 
-def interleave(quotas: np.ndarray) -> np.ndarray:
-    """Node index per arrival, spreading each node's share evenly.
+def _merge_order(quotas: np.ndarray) -> np.ndarray:
+    """Entry ``k``: the node-grouped index of the request in arrival slot ``k``.
 
     Each node's ``q`` requests sit at evenly spaced virtual positions
-    ``(k + 0.5) / q``; a stable argsort merges them, so every node sees
-    its arrivals in FIFO order and no node's share clumps at one end of
-    the epoch.
+    ``(k + 0.5) / q``; a stable argsort merges them.
     """
     total = int(quotas.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    node_ids = np.repeat(np.arange(quotas.size, dtype=np.int64), quotas)
     offsets = np.repeat(np.cumsum(quotas) - quotas, quotas)
     within = np.arange(total, dtype=np.float64) - offsets
     positions = (within + 0.5) / np.repeat(quotas, quotas)
-    return node_ids[np.argsort(positions, kind="stable")]
+    return np.argsort(positions, kind="stable")
+
+
+def interleave(quotas: np.ndarray) -> np.ndarray:
+    """Node index per arrival, spreading each node's share evenly.
+
+    The merge of evenly spaced per-node positions keeps every node's
+    arrivals in FIFO order and no node's share clumps at one end of the
+    epoch.
+    """
+    node_ids = np.repeat(np.arange(quotas.size, dtype=np.int64), quotas)
+    return node_ids[_merge_order(quotas)]
+
+
+def group_by_node(times: np.ndarray, quotas: np.ndarray) -> np.ndarray:
+    """The first ``sum(quotas)`` arrival times, regrouped node by node.
+
+    Node 0's share comes first, then node 1's, each in FIFO order: the
+    arrivals :func:`interleave` hands each node.  Scattering through the
+    merge permutation inverts it, so no second sort is needed.
+    """
+    total = int(quotas.sum())
+    grouped = np.empty(total, dtype=np.float64)
+    grouped[_merge_order(quotas)] = times[:total]
+    return grouped
 
 
 class RoundRobinRouter(Router):

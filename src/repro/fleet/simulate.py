@@ -39,7 +39,7 @@ import numpy as np
 from repro.fleet.autoscale import AdmissionControl, Autoscaler
 from repro.fleet.cluster import Cluster, NodeState, PoolSpec, resolve_profiles
 from repro.fleet.report import FleetStats, PoolStats, SojournSummary
-from repro.fleet.router import Router, RoutingView, interleave, make_router
+from repro.fleet.router import Router, RoutingView, group_by_node, make_router
 from repro.runtime.runner import Runner
 from repro.workloads.arrivals import Arrivals, first_n, reseeded
 
@@ -105,7 +105,7 @@ def _advance_batched(node: NodeState, epoch_end_s: float) -> np.ndarray:
     """
     profile = node.profile
     scale = node.throttle_scale
-    wall_s = profile.batch_wall_s
+    duration_s = [wall_s * scale for wall_s in profile.batch_wall_s]
     max_batch = profile.max_batch
     pending = node.pending
     total = len(pending)
@@ -126,17 +126,17 @@ def _advance_batched(node: NodeState, epoch_end_s: float) -> np.ndarray:
         size = right(pending, start_s, idx, total) - idx
         if size > max_batch:
             size = max_batch
-        duration_s = wall_s[size - 1] * scale
-        now_s = start_s + duration_s
+        batch_s = duration_s[size - 1]
+        now_s = start_s + batch_s
         finishes.append(now_s)
         sizes.append(size)
-        busy_s += duration_s
+        busy_s += batch_s
         idx += size
     served = idx - head
     if not served:
         return _EMPTY
     arrivals = np.asarray(pending[head:idx])
-    finish = np.repeat(finishes, sizes)
+    finish = np.array(finishes).repeat(sizes)
     node.head = idx
     node.free_at_s = now_s
     node.busy_s += busy_s
@@ -282,6 +282,12 @@ class FleetSimulation:
         boundaries = np.searchsorted(arrivals, edges, side="left")
         boundaries[-1] = arrivals.size
 
+        # Per-node constants of the routing view, built once per run.
+        energy = np.array([node.profile.energy_per_request_j
+                           for node in nodes], dtype=np.float64)
+        energy.flags.writeable = False  # shared by every epoch's view
+        full_batch_s = [node.profile.full_batch_request_s for node in nodes]
+
         sojourn_chunks: dict[str, list[np.ndarray]] = {
             pool.name: [] for pool in self.pools}
         assigned: dict[str, int] = {pool.name: 0 for pool in self.pools}
@@ -303,8 +309,9 @@ class FleetSimulation:
             lo = int(boundaries[index])
             hi = int(boundaries[index + 1])
             if hi > lo:
-                rejected += self._route(nodes, arrivals[lo:hi],
-                                        epoch_start_s, epoch_end_s, assigned)
+                rejected += self._route(nodes, arrivals[lo:hi], energy,
+                                        full_batch_s, epoch_start_s,
+                                        epoch_end_s, assigned)
             for node in nodes:
                 node.epoch_busy_s = 0.0
                 if node.stage_epoch_busy_s is not None:
@@ -349,13 +356,17 @@ class FleetSimulation:
                 node.active = False
 
     def _route(self, nodes: list[NodeState], epoch_times: np.ndarray,
+               energy: np.ndarray, full_batch_s: list[float],
                epoch_start_s: float, epoch_end_s: float,
                assigned: dict[str, int]) -> int:
-        """Assign one epoch's arrivals; returns the rejected count."""
+        """Assign one epoch's arrivals; returns the rejected count.
+
+        ``energy`` and ``full_batch_s`` are the per-node energy per
+        request and full-batch seconds per request, fixed for the run.
+        """
         count = int(epoch_times.size)
         outstanding = np.empty(len(nodes), dtype=np.float64)
         limits = np.empty(len(nodes), dtype=np.float64)
-        energy = np.empty(len(nodes), dtype=np.float64)
         capacity = np.empty(len(nodes), dtype=np.float64)
         for position, node in enumerate(nodes):
             pending = node.outstanding(epoch_start_s)
@@ -363,10 +374,8 @@ class FleetSimulation:
             routable = (node.active and not node.shutdown
                         and node.available_at_s <= epoch_start_s)
             limits[position] = self.admission.headroom(pending) if routable else 0.0
-            energy[position] = node.profile.energy_per_request_j
             spare_s = epoch_end_s - max(node.free_at_s, epoch_start_s)
-            per_request_s = (node.profile.full_batch_request_s
-                             * node.throttle_scale)
+            per_request_s = full_batch_s[position] * node.throttle_scale
             capacity[position] = min(count, max(0.0, spare_s) / per_request_s)
         view = RoutingView(outstanding=outstanding, limits=limits,
                            energy_per_request_j=energy, capacity=capacity)
@@ -375,14 +384,13 @@ class FleetSimulation:
         total = int(quotas.sum())
         assert total <= count, "router over-assigned the epoch"
         if total:
-            admitted = epoch_times[:total]
-            assignment = interleave(quotas)
-            order = np.argsort(assignment, kind="stable")
-            chunks = np.split(admitted[order], np.cumsum(quotas)[:-1])
-            for node, chunk in zip(nodes, chunks):
-                if chunk.size:
-                    node.assign(chunk.tolist())
-                    assigned[node.pool] += int(chunk.size)
+            values = group_by_node(epoch_times, quotas).tolist()
+            start = 0
+            for node, end in zip(nodes, np.cumsum(quotas).tolist()):
+                if end > start:
+                    node.assign(values[start:end])
+                    assigned[node.pool] += end - start
+                start = end
         return count - total
 
     def _step_thermal(self, node: NodeState, carry_s: float, dt_s: float,

@@ -63,6 +63,14 @@ class TestFleetBoundaries:
     def test_zero_never_means_default_or_off(self, flags, capsys):
         _assert_usage_error([*FLEET_RUN, *flags], capsys, flags[-2])
 
+    @pytest.mark.parametrize("value", ["-1", "x", "1.5", "nan"])
+    def test_seed_errors_name_the_flag(self, value, capsys):
+        _assert_usage_error([*FLEET_RUN, "--seed", value], capsys, "--seed")
+
+    def test_seed_zero_still_accepted(self, capsys):
+        assert main([*FLEET_RUN, "--seed", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 0
+
     def test_positive_horizon_still_accepted(self, capsys):
         assert main([*FLEET_ARGV, "--horizon", "0.05"]) == 0
         assert json.loads(capsys.readouterr().out)["requests"] >= 0
@@ -170,6 +178,24 @@ class TestDiffBoundaries:
         broken.write_text("{not json")
         assert main(["diff", str(broken), str(broken)]) == 2
         assert capsys.readouterr().err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "-1", "nan", "x"])
+    def test_tolerance_must_be_finite_and_non_negative(self, value, tmp_path,
+                                                       capsys):
+        snapshot = tmp_path / "snapshot.json"
+        snapshot.write_text("{}")
+        # "=" keeps argparse from reading "-inf" as an option.
+        _assert_usage_error(["diff", str(snapshot), str(snapshot),
+                             f"--tolerance={value}"], capsys, "--tolerance")
+
+    def test_zero_tolerance_still_accepted(self, tmp_path, capsys):
+        from repro.harness.suite import save_results
+
+        snapshot = tmp_path / "snapshot.json"
+        save_results(snapshot, ["table6"])
+        assert main(["diff", str(snapshot), str(snapshot),
+                     "--tolerance", "0"]) == 0
+        assert "0 differing cells (tolerance 0.0%)" in capsys.readouterr().out
 
 
 # Upper bounds keep the accepted values cheap to run (a short timing loop,
