@@ -9,9 +9,10 @@ DVFS throttles, and reports burst vs sustained performance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.engine.executor import InferenceSession
+from repro.hardware.thermal import ThermalSpec
 
 # Clock factors at or below this floor mean the device is off (thermal
 # shutdown reports exactly 0.0; real throttle factors are orders larger).
@@ -55,9 +56,11 @@ def simulate_sustained(
     duration_s: float = 1800.0,
     dt_s: float = 5.0,
     ambient_c: float | None = None,
+    thermal: ThermalSpec | None = None,
 ) -> SustainedResult:
     """Run ``session`` back-to-back for ``duration_s`` under the device's
-    thermal model.
+    thermal model, or under ``thermal`` when given (say, the same device
+    with a DVFS soft limit enabled).
 
     Throttling stretches latency by ``1 / clock_factor`` (compute-bound
     assumption — conservative for memory-bound models) and proportionally
@@ -66,6 +69,8 @@ def simulate_sustained(
     if duration_s <= 0 or dt_s <= 0:
         raise ValueError("duration and dt must be positive")
     device = session.deployed.device
+    if thermal is not None:
+        device = replace(device, thermal=thermal)
     simulator = device.thermal_simulator(ambient_c)
     simulator.temperature_c = device.thermal.steady_state_c(
         device.power.idle_w, simulator.ambient_c)

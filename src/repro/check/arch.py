@@ -3,13 +3,14 @@
 PR 2's runtime layer introduced contracts that convention alone cannot hold:
 all measurement goes through the :class:`~repro.runtime.runner.Runner`, the
 old string-triple helpers are migration shims only, and everything the
-engine memoizes must be pure.  This pass walks the package source and
-enforces them:
+engine memoizes must be pure.  This pass enforces them over the package
+source, reading each module's calls and comparisons from the shared
+:class:`~repro.check.astutil.SourceIndex`:
 
 * **ARCH001** — no direct ``InferenceSession``/``InferenceTimer``
   construction outside the ``runtime``/``engine``/``measurement`` layers.
-  Simulation code that prices ad-hoc deployments (split planners, batch
-  servers) carries an explicit inline suppression instead.
+  Simulation code prices through ``Runner.session``; a variant the Runner
+  cannot name (a DVFS-limited device) goes to the simulation as a spec.
 * **ARCH002** — no call sites of the deprecated wrappers
   (``measurement_seed``, ``cell_timer``, ``measure_latency_s``,
   ``build_session``, ``best_framework_latency``, ``engine.cache.deploy_key``).
@@ -92,53 +93,50 @@ _DEPRECATED_WRAPPERS = ("measurement_seed", "cell_timer", "measure_latency_s",
                         "build_session", "best_framework_latency", "deploy_key")
 
 
-class _ContractVisitor(ast.NodeVisitor):
-    """Walks one module; nondeterminism verdicts come from the shared
+class _ContractLinter:
+    """Checks one module's calls and comparisons, read from its
+    :class:`~repro.check.astutil.SourceIndex` in source order.
+    Nondeterminism verdicts come from the shared
     :func:`repro.check.astutil.classify_nondet` catalog, so ARCH004–ARCH007
     and the interprocedural RACE004 rule agree on what "nondeterministic"
     means — one engine, several contracts."""
 
     def __init__(self, module: astutil.SourceModule):
         self.module = module
-        self.parts = module.parts
-        self.display = module.display
-        self.suppressions = module.suppressions
         self.findings: list[Finding] = []
-        self._nondet_imports = astutil.NondetImports()
 
-    # -- helpers ---------------------------------------------------------
-    def _layer(self) -> str:
-        return self.module.layer
+    def lint(self) -> list[Finding]:
+        for node in self.module.index.nodes:
+            if isinstance(node, ast.Call):
+                self._check_call(node)
+            elif isinstance(node, ast.Compare):
+                self._check_compare(node)
+        return self.findings
 
     def _emit(self, rule: str, node: ast.AST, message: str) -> None:
         lineno = getattr(node, "lineno", 0)
-        if self.suppressions.allows(rule, lineno):
+        if self.module.suppressions.allows(rule, lineno):
             return
         self.findings.append(Finding(
-            rule, RULES[rule][0], f"{self.display}:{lineno}", message))
-
-    # -- imports feeding the nondeterminism classifier -------------------
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        self._nondet_imports.visit_import_from(node)
-        self.generic_visit(node)
+            rule, RULES[rule][0], f"{self.module.display}:{lineno}", message))
 
     # -- calls -----------------------------------------------------------
-    def visit_Call(self, node: ast.Call) -> None:
+    def _check_call(self, node: ast.Call) -> None:
         name = astutil.call_name(node)
-        if name in _SESSION_TYPES and self._layer() not in _SESSION_LAYERS:
+        layer = self.module.layer
+        if name in _SESSION_TYPES and layer not in _SESSION_LAYERS:
             self._emit("ARCH001", node,
                        f"direct {name} construction outside the runtime layer")
         if name in _DEPRECATED_WRAPPERS:
             self._emit("ARCH002", node, f"call to deprecated wrapper {name}()")
-        verdict = classify_nondet(node, self._nondet_imports)
-        deterministic = _DETERMINISTIC_LAYERS.get(self._layer())
-        if self.parts == _COMPILED_MODULE:
+        verdict = classify_nondet(node, self.module.index.nondet_imports)
+        deterministic = _DETERMINISTIC_LAYERS.get(layer)
+        if self.module.parts == _COMPILED_MODULE:
             self._check_compiled_purity(node, name, verdict)
         elif deterministic is not None:
             self._check_deterministic_layer(node, verdict, *deterministic)
-        elif self._layer() in _PURE_LAYERS:
+        elif layer in _PURE_LAYERS:
             self._check_purity(node, verdict)
-        self.generic_visit(node)
 
     def _check_compiled_purity(self, node: ast.Call, name: str | None,
                                verdict: NondetCall | None) -> None:
@@ -206,7 +204,7 @@ class _ContractVisitor(ast.NodeVisitor):
                        f"nondeterministic call {verdict.description}")
 
     # -- comparisons -----------------------------------------------------
-    def visit_Compare(self, node: ast.Compare) -> None:
+    def _check_compare(self, node: ast.Compare) -> None:
         if any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
             operands = [node.left, *node.comparators]
             if any(isinstance(operand, ast.Constant)
@@ -214,26 +212,16 @@ class _ContractVisitor(ast.NodeVisitor):
                    for operand in operands):
                 self._emit("ARCH003", node,
                            "float literal compared with ==/!=")
-        self.generic_visit(node)
 
 
 def lint_module(module: astutil.SourceModule) -> list[Finding]:
     """Lint one pre-parsed module."""
-    visitor = _ContractVisitor(module)
-    visitor.visit(module.tree)
-    return visitor.findings
+    return _ContractLinter(module).lint()
 
 
 def lint_source(source: str, path: str) -> list[Finding]:
     """Lint one module's source text; ``path`` decides layer exemptions."""
     return lint_module(astutil.load_source(source, path))
-
-
-def lint_paths(paths: list[Path]) -> list[Finding]:
-    findings: list[Finding] = []
-    for path in sorted(paths):
-        findings += lint_source(path.read_text(), str(path))
-    return findings
 
 
 #: re-exported so existing callers keep working; astutil owns discovery.

@@ -17,6 +17,11 @@ ladder of precision tiers, stopping at the first that matches:
 7. otherwise the full candidate set of same-named functions (or nothing,
    for names the package never defines — builtins, stdlib).
 
+A function's call sites are the calls among its own nodes in the shared
+AST index (:class:`repro.check.astutil.SourceIndex`): a nested ``def`` is
+its own :class:`FunctionNode`, so calls in its body are not its parent's
+(a call or reference to the nested def still creates the edge).
+
 Besides direct calls, the graph records **function-reference edges**:
 passing ``_run_cell`` to ``pool.map`` or a ``build`` closure to
 ``get_or_build`` creates an edge, because on a parallel path the callee
@@ -48,7 +53,7 @@ import ast
 from dataclasses import dataclass, field
 
 from repro.check import astutil
-from repro.check.astutil import SourceModule
+from repro.check.astutil import Scope, SourceModule
 
 
 @dataclass
@@ -66,12 +71,19 @@ class FunctionNode:
     module: SourceModule
     node: ast.FunctionDef | ast.AsyncFunctionDef
     cls: str | None = None
+    #: direct nested ``def``s, by bare name (resolution tier 1).
+    nested: dict[str, "FunctionNode"] = field(default_factory=dict)
     calls: list["CallSite"] = field(default_factory=list)
     refs: list["CallSite"] = field(default_factory=list)
 
     @property
     def lineno(self) -> int:
         return self.node.lineno
+
+    @property
+    def scope(self) -> Scope:
+        """This function's own nodes (nested def bodies excluded)."""
+        return self.module.index.scopes[self.node]
 
 
 @dataclass(frozen=True)
@@ -104,18 +116,6 @@ _CONTAINER_NODES = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
                     ast.SetComp)
 
 
-def _walk_skip_defs(node: ast.AST):
-    """``ast.walk`` that stays inside one function: nested ``def``s are
-    their own :class:`FunctionNode`s, so their bodies are not this
-    function's call sites (a direct call or reference to the nested def
-    still creates the edge)."""
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        yield child
-        yield from _walk_skip_defs(child)
-
-
 def _module_name(module: SourceModule) -> str:
     """Dotted package-relative module name: engine/cache.py -> engine.cache."""
     parts = list(module.parts)
@@ -141,7 +141,8 @@ class CallGraph:
             self._index_module(mod)
         self._collect_dispatch()
         for mnode in self.by_module.values():
-            self._resolve_module(mnode)
+            for fnode in mnode.functions.values():
+                self._resolve_function(mnode, fnode)
 
     # -- indexing ----------------------------------------------------------
     def _index_module(self, mod: SourceModule) -> None:
@@ -154,7 +155,8 @@ class CallGraph:
             self._index_module_assign(mnode, stmt)
 
     def _index_stmt(self, mnode: ModuleNode, stmt: ast.stmt, prefix: str,
-                    cls: str | None) -> None:
+                    cls: str | None,
+                    parent: FunctionNode | None = None) -> None:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             qual = f"{prefix}{stmt.name}"
             fnode = FunctionNode(
@@ -164,8 +166,11 @@ class CallGraph:
             mnode.functions[qual] = fnode
             self.functions[fnode.fid] = fnode
             self.by_name.setdefault(stmt.name, []).append(fnode)
+            if parent is not None:
+                parent.nested[stmt.name] = fnode
             for inner in stmt.body:
-                self._index_stmt(mnode, inner, prefix=f"{qual}.", cls=cls)
+                self._index_stmt(mnode, inner, prefix=f"{qual}.", cls=cls,
+                                 parent=fnode)
         elif isinstance(stmt, ast.ClassDef):
             for inner in stmt.body:
                 self._index_stmt(mnode, inner, prefix=f"{stmt.name}.",
@@ -286,10 +291,7 @@ class CallGraph:
             if own is not None:
                 return (own.fid,)
             if expr.id in mnode.imported_names:
-                src, orig = mnode.imported_names[expr.id]
-                target = self._module_by_dotted.get(src)
-                if target is not None and orig in target.functions:
-                    return (target.functions[orig].fid,)
+                return self._imported_function(mnode, expr.id)
         elif isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name):
             base = expr.value.id
             dotted = None
@@ -313,7 +315,7 @@ class CallGraph:
                 continue
             params = {a.arg for a in fnode.node.args.args
                       + fnode.node.args.kwonlyargs}
-            for node in _walk_skip_defs(fnode.node):
+            for node in fnode.scope.nodes:
                 if not (isinstance(node, ast.Assign)
                         and len(node.targets) == 1
                         and isinstance(node.targets[0], ast.Subscript)):
@@ -330,24 +332,16 @@ class CallGraph:
 
     def _all_calls(self, mnode: ModuleNode):
         """Every call expression in a module with its enclosing function
-        (None for module-level code such as registration loops)."""
-        for stmt in mnode.module.tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                continue
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Call):
-                    yield node, None
-        for fnode in mnode.functions.values():
-            for node in _walk_skip_defs(fnode.node):
-                if isinstance(node, ast.Call):
-                    yield node, fnode
+        (None for module-level code such as registration loops, and for
+        defs the graph does not index)."""
+        by_def = {fnode.node: fnode for fnode in mnode.functions.values()}
+        for call, owner in mnode.module.index.calls:
+            yield call, by_def.get(owner)
 
     def _harvest_registration(self, mnode: ModuleNode,
                               fnode: FunctionNode | None,
                               call: ast.Call) -> None:
-        nested = self.nested_defs(mnode, fnode) if fnode is not None else {}
-        for fid in self._resolve_call(mnode, fnode, nested, call):
+        for fid in self.resolve_call(mnode, fnode, call):
             specs = self._registrars.get(fid)
             if not specs:
                 continue
@@ -367,23 +361,22 @@ class CallGraph:
                         arg = call.args[index]
                 if arg is None:
                     continue
-                values = self._function_value(mnode, fnode, nested, arg)
+                values = self._function_value(mnode, fnode, arg)
                 if values:
                     self.dispatch_targets.setdefault(
                         (callee.cls, attr), set()).update(values)
 
     def _function_value(self, mnode: ModuleNode, fnode: FunctionNode | None,
-                        nested: dict[str, FunctionNode],
                         expr: ast.expr) -> tuple[str, ...]:
         """The function(s) an expression evaluates to, for registration."""
-        direct = self._resolve_reference(mnode, fnode, nested, expr)
+        direct = self.resolve_reference(mnode, fnode, expr)
         if direct:
             return direct
         if isinstance(expr, ast.Name) and expr.id in mnode.loop_functions:
             return mnode.loop_functions[expr.id]
         if isinstance(expr, ast.Call):  # factory(...) returning a nested def
             out: list[str] = []
-            for fid in self._resolve_call(mnode, fnode, nested, expr):
+            for fid in self.resolve_call(mnode, fnode, expr):
                 out.extend(self._returned_functions(fid))
             return tuple(dict.fromkeys(out))
         return ()
@@ -394,9 +387,9 @@ class CallGraph:
         if fnode is None:
             return ()
         mnode = self.by_module[fnode.module.display]
-        nested = self.nested_defs(mnode, fnode)
+        nested = fnode.nested
         out: list[str] = []
-        for node in _walk_skip_defs(fnode.node):
+        for node in fnode.scope.nodes:
             if isinstance(node, ast.Return) and isinstance(node.value, ast.Name):
                 name = node.value.id
                 if name in nested:
@@ -406,32 +399,27 @@ class CallGraph:
         return tuple(dict.fromkeys(out))
 
     # -- resolution --------------------------------------------------------
-    def _resolve_module(self, mnode: ModuleNode) -> None:
-        for fnode in mnode.functions.values():
-            self._resolve_function(mnode, fnode)
-
     def _resolve_function(self, mnode: ModuleNode,
                           fnode: FunctionNode) -> None:
-        nested = self.nested_defs(mnode, fnode)
-        for node in _walk_skip_defs(fnode.node):
+        for node in fnode.scope.nodes:
             if isinstance(node, ast.Call):
-                targets = self._resolve_call(mnode, fnode, nested, node)
+                targets = self.resolve_call(mnode, fnode, node)
                 if targets:
                     fnode.calls.append(CallSite(
                         node=node, lineno=node.lineno, targets=targets))
                 for arg in list(node.args) + [kw.value for kw in node.keywords]:
-                    ref = self._resolve_reference(mnode, fnode, nested, arg)
+                    ref = self.resolve_reference(mnode, fnode, arg)
                     if ref:
                         fnode.refs.append(CallSite(
                             node=arg, lineno=arg.lineno, targets=ref,
                             via_reference=True))
 
-    def _resolve_call(self, mnode: ModuleNode, fnode: FunctionNode | None,
-                      nested: dict[str, FunctionNode],
-                      node: ast.Call) -> tuple[str, ...]:
+    def resolve_call(self, mnode: ModuleNode, fnode: FunctionNode | None,
+                     node: ast.Call) -> tuple[str, ...]:
+        """Resolve one call expression in ``fnode``'s scope to target fids."""
         func = node.func
         if isinstance(func, ast.Name):
-            return self._resolve_bare(mnode, fnode, nested, func.id)
+            return self._resolve_bare(mnode, fnode, func.id)
         if isinstance(func, ast.Attribute):
             return self._resolve_attribute(mnode, fnode, func)
         if isinstance(func, ast.Subscript):
@@ -461,19 +449,14 @@ class CallGraph:
         return ()
 
     def _resolve_bare(self, mnode: ModuleNode, fnode: FunctionNode | None,
-                      nested: dict[str, FunctionNode],
                       name: str) -> tuple[str, ...]:
-        if name in nested:                                    # tier 1
-            return (nested[name].fid,)
+        if fnode is not None and name in fnode.nested:        # tier 1
+            return (fnode.nested[name].fid,)
         own = mnode.functions.get(name)                       # tier 2
         if own is not None:
             return (own.fid,)
         if name in mnode.imported_names:                      # tier 3
-            src, orig = mnode.imported_names[name]
-            target = self._module_by_dotted.get(src)
-            if target is not None and orig in target.functions:
-                return (target.functions[orig].fid,)
-            return ()
+            return self._imported_function(mnode, name)
         candidates = self.by_name.get(name, ())               # tiers 6/7
         if len(candidates) == 1:
             return (candidates[0].fid,)
@@ -500,7 +483,7 @@ class CallGraph:
                     f"{src}.{orig}" if src else orig)
                 if target is not None and method in target.functions:
                     return (target.functions[method].fid,)
-            cls = self._instance_class(mnode, base.id)         # INSTANCE.m()
+            cls = mnode.instance_classes.get(base.id)          # INSTANCE.m()
             if cls is not None:
                 resolved = self._resolve_method(mnode, cls, method)
                 if resolved:
@@ -521,8 +504,14 @@ class CallGraph:
             return (candidates[0].fid,)
         return tuple(c.fid for c in candidates)
 
-    def _instance_class(self, mnode: ModuleNode, name: str) -> str | None:
-        return mnode.instance_classes.get(name)
+    def _imported_function(self, mnode: ModuleNode,
+                           name: str) -> tuple[str, ...]:
+        """The fid ``from mod import name`` binds, if the package defines it."""
+        src, orig = mnode.imported_names[name]
+        target = self._module_by_dotted.get(src)
+        if target is not None and orig in target.functions:
+            return (target.functions[orig].fid,)
+        return ()
 
     def _resolve_method(self, mnode: ModuleNode, cls: str,
                         method: str) -> tuple[str, ...]:
@@ -542,22 +531,18 @@ class CallGraph:
             return (candidates[0].fid,)
         return ()
 
-    def _resolve_reference(self, mnode: ModuleNode,
-                           fnode: FunctionNode | None,
-                           nested: dict[str, FunctionNode],
-                           arg: ast.expr) -> tuple[str, ...]:
+    def resolve_reference(self, mnode: ModuleNode,
+                          fnode: FunctionNode | None,
+                          arg: ast.expr) -> tuple[str, ...]:
         """Function values passed as arguments (pool.map targets, builders)."""
         if isinstance(arg, ast.Name):
-            if arg.id in nested:
-                return (nested[arg.id].fid,)
+            if fnode is not None and arg.id in fnode.nested:
+                return (fnode.nested[arg.id].fid,)
             own = mnode.functions.get(arg.id)
             if own is not None:
                 return (own.fid,)
             if arg.id in mnode.imported_names:
-                src, orig = mnode.imported_names[arg.id]
-                target = self._module_by_dotted.get(src)
-                if target is not None and orig in target.functions:
-                    return (target.functions[orig].fid,)
+                return self._imported_function(mnode, arg.id)
         elif isinstance(arg, ast.Attribute) and isinstance(arg.value, ast.Name):
             if arg.value.id == "self" and fnode is not None and fnode.cls:
                 own = mnode.functions.get(f"{fnode.cls}.{arg.attr}")
@@ -566,28 +551,9 @@ class CallGraph:
         return ()
 
     # -- public resolution API (used by the effects pass) ------------------
-    def nested_defs(self, mnode: ModuleNode,
-                    fnode: FunctionNode) -> dict[str, FunctionNode]:
-        """Direct nested ``def``s of ``fnode``, by bare name."""
-        prefix = fnode.qualname + "."
-        return {f.name: f for q, f in mnode.functions.items()
-                if q.startswith(prefix) and "." not in q[len(prefix):]}
-
     def resolve_module(self, dotted: str) -> ModuleNode | None:
         """ModuleNode for a package-relative dotted name (``engine.cache``)."""
         return self._module_by_dotted.get(dotted)
-
-    def resolve_call(self, mnode: ModuleNode, fnode: FunctionNode,
-                     nested: dict[str, FunctionNode],
-                     node: ast.Call) -> tuple[str, ...]:
-        """Resolve one call expression in ``fnode``'s scope to target fids."""
-        return self._resolve_call(mnode, fnode, nested, node)
-
-    def resolve_reference(self, mnode: ModuleNode, fnode: FunctionNode,
-                          nested: dict[str, FunctionNode],
-                          arg: ast.expr) -> tuple[str, ...]:
-        """Resolve a function-valued expression (builder, pool target)."""
-        return self._resolve_reference(mnode, fnode, nested, arg)
 
     # -- queries -----------------------------------------------------------
     def successors(self, fid: str) -> set[str]:

@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.check import astutil, callgraph
-from repro.check.astutil import NondetImports, SourceModule, classify_nondet
+from repro.check.astutil import SourceModule, classify_nondet
 from repro.check.callgraph import CallGraph, FunctionNode, ModuleNode
 from repro.check.findings import Finding, Severity
 
@@ -88,7 +88,6 @@ PARALLEL_ROOTS = (
     "runtime/runner.py:Runner.run_cells",
     "harness/sweep_runner.py:run_sweep",
     "harness/sweep_runner.py:run_scenarios",
-    "engine/compile.py:compile_cells",
     "engine/compile.py:gather",
     "engine/compile.py:lower",
     "engine/compile.py:scatter",
@@ -204,37 +203,7 @@ class KeySite:
     unresolved: bool = False
 
 
-# -- module namespace facts -----------------------------------------------
-def _module_globals(mod: SourceModule) -> set[str]:
-    """Names assigned at module level (the shared-state namespace)."""
-    names: set[str] = set()
-    for stmt in mod.tree.body:
-        if isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    names.add(target.id)
-        elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
-            if isinstance(stmt.target, ast.Name):
-                names.add(stmt.target.id)
-    return names
-
-
-def _module_scope_names(mnode: ModuleNode) -> set[str]:
-    """Everything resolvable at module scope: globals, defs, classes, imports."""
-    mod = mnode.module
-    names = _module_globals(mod)
-    for stmt in mod.tree.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            names.add(stmt.name)
-        elif isinstance(stmt, ast.Import):
-            names.update(alias.asname or alias.name.split(".")[0]
-                         for alias in stmt.names)
-        elif isinstance(stmt, ast.ImportFrom):
-            names.update(alias.asname or alias.name for alias in stmt.names)
-    return names
-
-
+# -- syntax predicates ----------------------------------------------------
 def _is_lock_guard(node: ast.With | ast.AsyncWith) -> bool:
     for item in node.items:
         expr = item.context_expr
@@ -273,24 +242,41 @@ def _mutable_default(node: ast.expr) -> bool:
             and not node.args and not node.keywords)
 
 
+def _value_names(expr: ast.expr) -> tuple[set[str], set[str]]:
+    """(names, ``self`` attributes) an expression reads as values; the
+    names of the functions it calls, and ``self`` itself, are left out."""
+    names: set[str] = set()
+    self_attrs: set[str] = set()
+    callees = {"self"}
+    for node in ast.walk(expr):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id == "self":
+            self_attrs.add(node.attr)
+        elif isinstance(node, ast.Call):
+            chain = astutil.dotted_chain(node.func)
+            if chain:
+                callees.add(chain[0])
+    return names - callees, self_attrs
+
+
 # -- per-function local analysis ------------------------------------------
 class _FunctionAnalyzer:
     """Single-function effect extraction (nested defs analyzed separately)."""
 
     def __init__(self, graph: CallGraph, mnode: ModuleNode,
-                 fnode: FunctionNode, module_globals: set[str],
-                 scope_names: set[str], nondet_imports: NondetImports):
+                 fnode: FunctionNode):
         self.graph = graph
         self.mnode = mnode
         self.fnode = fnode
-        self.module_globals = module_globals
-        self.scope_names = scope_names
-        self.nondet_imports = nondet_imports
+        self.index = mnode.module.index
         self.eff = FunctionEffects(fid=fnode.fid)
-        self.guard_depth = 0
+        #: span ends of the lock-guarded ``with`` blocks being visited.
+        self.lock_ends: list[int] = []
         self.global_decls: set[str] = set()
         self.local_bound: set[str] = set()
-        self.nested = graph.nested_defs(mnode, fnode)
         self._call_func_names: set[int] = set()
 
     # .. entry ............................................................
@@ -313,79 +299,50 @@ class _FunctionAnalyzer:
         for kwarg, default in zip(args.kwonlyargs, args.kw_defaults):
             if default is not None and _mutable_default(default):
                 self.eff.mutable_defaults.append((kwarg.arg, node.lineno))
-        self._prescan_bindings(node.body)
-        for stmt in node.body:
-            self._visit(stmt)
+        scope = self.fnode.scope
+        self._prescan_bindings(scope)
+        for position in scope.body:
+            while self.lock_ends and position >= self.lock_ends[-1]:
+                self.lock_ends.pop()
+            node = scope.nodes[position]
+            if isinstance(node, (ast.With, ast.AsyncWith)) \
+                    and _is_lock_guard(node):
+                self.lock_ends.append(scope.ends[position])
+            handler = self._HANDLERS.get(type(node))
+            if handler is not None:
+                handler(self, node)
         return self.eff
 
-    def _prescan_bindings(self, body: list[ast.stmt]) -> None:
+    def _prescan_bindings(self, scope: astutil.Scope) -> None:
         """Collect every locally bound name first, so reads before the
         binding line (loops, forward refs) don't misreport as globals."""
-        for stmt in body:
-            for node in self._walk_own(stmt):
-                if isinstance(node, ast.Name) and isinstance(
-                        node.ctx, (ast.Store, ast.Del)):
-                    self.local_bound.add(node.id)
-                elif isinstance(node, ast.Global):
-                    self.global_decls.update(node.names)
-                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                       ast.ClassDef)):
-                    self.local_bound.add(node.name)
-                elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                    self.local_bound.update(alias.asname or
-                                            alias.name.split(".")[0]
-                                            for alias in node.names)
+        for position in scope.body:
+            node = scope.nodes[position]
+            if isinstance(node, ast.Name) and isinstance(
+                    node.ctx, (ast.Store, ast.Del)):
+                self.local_bound.add(node.id)
+            elif isinstance(node, ast.Global):
+                self.global_decls.update(node.names)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.ClassDef)):
+                self.local_bound.add(node.name)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                self.local_bound.update(alias.asname or
+                                        alias.name.split(".")[0]
+                                        for alias in node.names)
         self.local_bound -= self.global_decls
-
-    def _walk_own(self, node: ast.AST):
-        """ast.walk that does not descend into nested function defs."""
-        yield node
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            yield from self._walk_own(child)
-
-    # .. recursive statement/expression visit .............................
-    def _visit(self, node: ast.AST) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return  # nested defs have their own FunctionNode
-        if isinstance(node, (ast.With, ast.AsyncWith)):
-            guarded = _is_lock_guard(node)
-            if guarded:
-                self.guard_depth += 1
-            for item in node.items:
-                self._visit(item.context_expr)
-            for stmt in node.body:
-                self._visit(stmt)
-            if guarded:
-                self.guard_depth -= 1
-            return
-        handler = {
-            ast.Assign: self._on_assign,
-            ast.AnnAssign: self._on_annassign,
-            ast.AugAssign: self._on_augassign,
-            ast.Delete: self._on_delete,
-            ast.Return: self._on_return,
-            ast.Call: self._on_call,
-            ast.Name: self._on_name,
-            ast.Attribute: self._on_attribute,
-        }.get(type(node))
-        if handler is not None:
-            handler(node)
-        for child in ast.iter_child_nodes(node):
-            self._visit(child)
 
     # .. name classification ..............................................
     def _global_qual(self, name: str) -> str | None:
         """Qualified id for a module-global (own or imported), else None."""
         if name in self.local_bound:
             return None
-        if name in self.global_decls or name in self.module_globals:
+        if name in self.global_decls or name in self.index.globals:
             return f"{self.mnode.module.display}:{name}"
         if name in self.mnode.imported_names:
             src, orig = self.mnode.imported_names[name]
             target = self.graph.resolve_module(src)
-            if target is not None and orig in _module_globals(target.module):
+            if target is not None and orig in target.module.index.globals:
                 return f"{target.module.display}:{orig}"
         return None
 
@@ -397,7 +354,7 @@ class _FunctionAnalyzer:
             self.eff.reads.add(qual)
             return
         if (node.id not in self.local_bound
-                and node.id not in self.scope_names
+                and node.id not in self.index.scope_names
                 and id(node) not in self._call_func_names
                 and not hasattr(builtins, node.id)):
             self.eff.free_reads.add(node.id)
@@ -409,14 +366,14 @@ class _FunctionAnalyzer:
             elif node.value.id in self.mnode.import_aliases:
                 target = self.graph.resolve_module(
                     self.mnode.import_aliases[node.value.id])
-                if target is not None and node.attr in _module_globals(
-                        target.module):
+                if target is not None \
+                        and node.attr in target.module.index.globals:
                     self.eff.reads.add(
                         f"{target.module.display}:{node.attr}")
 
     # .. writes ...........................................................
     def _guarded(self) -> bool:
-        return self.guard_depth > 0
+        return bool(self.lock_ends)
 
     def _on_assign(self, node: ast.Assign) -> None:
         for target in node.targets:
@@ -496,7 +453,7 @@ class _FunctionAnalyzer:
 
     # .. calls ............................................................
     def _on_call(self, node: ast.Call) -> None:
-        verdict = classify_nondet(node, self.nondet_imports)
+        verdict = classify_nondet(node, self.index.nondet_imports)
         if verdict is not None and verdict.kind not in self.eff.nondet:
             self.eff.nondet[verdict.kind] = (verdict.description, node.lineno)
         targets = self._resolve(node)
@@ -518,8 +475,7 @@ class _FunctionAnalyzer:
         self._record_forwards(node, targets)
 
     def _resolve(self, node: ast.Call) -> tuple[str, ...]:
-        return self.graph.resolve_call(self.mnode, self.fnode, self.nested,
-                                       node)
+        return self.graph.resolve_call(self.mnode, self.fnode, node)
 
     def _classify_method_call(self, base: str, func: ast.Attribute,
                               node: ast.Call,
@@ -665,7 +621,7 @@ class _FunctionAnalyzer:
         if key_expr is not None:
             if isinstance(key_expr, ast.Name):
                 key_name_is = key_expr.id
-            self._collect_key_names(key_expr, key_names, key_self)
+            key_names, key_self = _value_names(key_expr)
         site = KeySite(lineno=node.lineno, receiver=receiver,
                        key_names=key_names, key_self_attrs=key_self,
                        key_name_is=key_name_is,
@@ -676,48 +632,24 @@ class _FunctionAnalyzer:
         if isinstance(builder, ast.Lambda):
             site.builder_desc = "lambda"
             self._digest_lambda(builder, site)
-        elif isinstance(builder, ast.Name):
-            site.builder_desc = f"{builder.id}()"
-            fids = self.graph.resolve_reference(self.mnode, self.fnode,
-                                                self.nested, builder)
-            site.builder_fids = fids
-            site.unresolved = not fids
-        elif isinstance(builder, ast.Attribute):
-            site.builder_desc = ".".join(astutil.dotted_chain(builder)) \
-                or builder.attr
-            fids = self.graph.resolve_reference(self.mnode, self.fnode,
-                                                self.nested, builder)
-            site.builder_fids = fids
-            site.unresolved = not fids
+        elif isinstance(builder, (ast.Name, ast.Attribute)):
+            site.builder_desc = (
+                f"{builder.id}()" if isinstance(builder, ast.Name)
+                else ".".join(astutil.dotted_chain(builder)) or builder.attr)
+            site.builder_fids = self.graph.resolve_reference(
+                self.mnode, self.fnode, builder)
+            site.unresolved = not site.builder_fids
         else:
             site.builder_desc = "<expression>"
             site.unresolved = True
         return site
 
-    def _collect_key_names(self, expr: ast.expr, names: set[str],
-                           self_attrs: set[str]) -> None:
-        for node in ast.walk(expr):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute) \
-                    and isinstance(node.value, ast.Name) \
-                    and node.value.id == "self":
-                self_attrs.add(node.attr)
-        # drop names that are the functions being called, not values
-        for node in ast.walk(expr):
-            if isinstance(node, ast.Call):
-                chain = astutil.dotted_chain(node.func)
-                if chain:
-                    names.discard(chain[0])
-        names.discard("self")
-
     def _digest_lambda(self, node: ast.Lambda, site: KeySite) -> None:
         params = {a.arg for a in node.args.args + node.args.kwonlyargs}
         site.lambda_params = params
         call_fids: list[str] = []
-        func_names = {id(sub.func) for sub in ast.walk(node.body)
-                      if isinstance(sub, ast.Call)
-                      and isinstance(sub.func, ast.Name)}
+        func_names: set[int] = set()
+        # breadth-first, so a call is seen before the name it calls
         for sub in ast.walk(node.body):
             if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
                 if sub.id in params or id(sub) in func_names \
@@ -726,14 +658,27 @@ class _FunctionAnalyzer:
                 qual = self._global_qual(sub.id)
                 if qual is not None:
                     site.lambda_global_reads.add(qual)
-                elif sub.id in self.scope_names or sub.id in self.nested:
+                elif sub.id in self.index.scope_names \
+                        or sub.id in self.fnode.nested:
                     continue  # module functions/classes; call edge below
                 elif sub.id in self.local_bound or sub.id in self.eff.params:
                     site.lambda_free_reads.add(sub.id)
             elif isinstance(sub, ast.Call):
+                func_names.add(id(sub.func))
                 call_fids.extend(self.graph.resolve_call(
-                    self.mnode, self.fnode, self.nested, sub))
+                    self.mnode, self.fnode, sub))
         site.lambda_call_fids = tuple(call_fids)
+
+    _HANDLERS = {
+        ast.Assign: _on_assign,
+        ast.AnnAssign: _on_annassign,
+        ast.AugAssign: _on_augassign,
+        ast.Delete: _on_delete,
+        ast.Return: _on_return,
+        ast.Call: _on_call,
+        ast.Name: _on_name,
+        ast.Attribute: _on_attribute,
+    }
 
 
 # -- the pass --------------------------------------------------------------
@@ -755,14 +700,9 @@ class EffectsAnalysis:
     # .. summaries ........................................................
     def _summarize(self) -> None:
         for mnode in self.graph.by_module.values():
-            module_globals = _module_globals(mnode.module)
-            scope_names = _module_scope_names(mnode)
-            imports = NondetImports().collect(mnode.module.tree)
             for fnode in mnode.functions.values():
-                analyzer = _FunctionAnalyzer(self.graph, mnode, fnode,
-                                             module_globals, scope_names,
-                                             imports)
-                self.effects[fnode.fid] = analyzer.analyze()
+                self.effects[fnode.fid] = _FunctionAnalyzer(
+                    self.graph, mnode, fnode).analyze()
 
     def _fixpoint(self) -> None:
         for eff in self.effects.values():
@@ -775,9 +715,11 @@ class EffectsAnalysis:
             changed = False
             for fid, eff in self.effects.items():
                 fnode = self.graph.functions[fid]
-                callees = set()
-                for site in fnode.calls + fnode.refs:
-                    callees.update(site.targets)
+                # in call-site order (not set order), so the origin a
+                # RACE004 message names does not vary with the hash seed
+                callees = dict.fromkeys(target
+                                        for site in fnode.calls + fnode.refs
+                                        for target in site.targets)
                 for target in callees:
                     te = self.effects.get(target)
                     if te is None:
@@ -965,24 +907,13 @@ class EffectsAnalysis:
         so a pre-computed key still covers the values it was derived from."""
         names: set[str] = set()
         self_attrs: set[str] = set()
-        for node in ast.walk(fnode.node):
+        for node in fnode.scope.nodes:
             if isinstance(node, ast.Assign) and any(
                     isinstance(t, ast.Name) and t.id == key_name
                     for t in node.targets):
-                for sub in ast.walk(node.value):
-                    if isinstance(sub, ast.Name) \
-                            and isinstance(sub.ctx, ast.Load):
-                        names.add(sub.id)
-                    elif isinstance(sub, ast.Attribute) \
-                            and isinstance(sub.value, ast.Name) \
-                            and sub.value.id == "self":
-                        self_attrs.add(sub.attr)
-                for sub in ast.walk(node.value):
-                    if isinstance(sub, ast.Call):
-                        chain = astutil.dotted_chain(sub.func)
-                        if chain:
-                            names.discard(chain[0])
-        names.discard("self")
+                value_names, value_attrs = _value_names(node.value)
+                names |= value_names
+                self_attrs |= value_attrs
         return names, self_attrs
 
     def _alias_rules(self, fnode: FunctionNode, eff: FunctionEffects,

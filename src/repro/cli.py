@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+from pathlib import Path
 from typing import Callable, NoReturn, Sequence
 
 from repro import (
@@ -32,6 +33,19 @@ from repro import (
     run_experiment,
 )
 from repro.runtime import Scenario, default_runner
+
+
+class _OutputError(Exception):
+    """A verb could not write its output file; :func:`main` reports it."""
+
+
+def _write_output(path: str, text: str) -> None:
+    """Write a verb's output file (``export``, ``--output``)."""
+    try:
+        Path(path).write_text(text)
+    except OSError as error:
+        raise _OutputError(
+            f"cannot write {path}: {error.strerror or error}") from error
 
 
 class _Parser(argparse.ArgumentParser):
@@ -202,9 +216,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
     from repro.engine.cache import cache_stats, set_caching
     from repro.harness.sweep_runner import run_sweep
 
@@ -247,15 +258,12 @@ def _cmd_suite(args: argparse.Namespace) -> int:
               f"scatter={compiled['scatter_s'] * 1e3:.1f}ms "
               f"timer={compiled['timer_s'] * 1e3:.1f}ms")
     if args.output:
-        Path(args.output).write_text(json.dumps(result.snapshot, indent=1))
+        _write_output(args.output, json.dumps(result.snapshot, indent=1))
         print(f"\nwrote {args.output}")
     return 0
 
 
 def _cmd_place(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
     from repro.placement import SLO, search_placements
 
     slo = None
@@ -281,7 +289,7 @@ def _cmd_place(args: argparse.Namespace) -> int:
     text = (json.dumps(frontier.to_dict(), indent=1)
             if args.format == "json" else frontier.describe())
     if args.output:
-        Path(args.output).write_text(text + "\n")
+        _write_output(args.output, text + "\n")
         print(f"wrote {args.output}")
     else:
         print(text)
@@ -326,9 +334,6 @@ def _placement_pool(path: str, replicas: int) -> "PoolSpec":
     Takes the best (lowest-latency) frontier point — the one
     :meth:`PlacementFrontier.best` would return.
     """
-    import json
-    from pathlib import Path
-
     from repro.fleet import PoolSpec
     from repro.placement import Deployment
 
@@ -362,9 +367,6 @@ def _placement_pool(path: str, replicas: int) -> "PoolSpec":
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
     from repro.fleet import AdmissionControl, Autoscaler, FleetSimulation
     from repro.workloads.arrivals import (
         BurstyArrivals,
@@ -431,7 +433,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     text = (json.dumps(stats.to_dict(), indent=1) if args.format == "json"
             else stats.describe())
     if args.output:
-        Path(args.output).write_text(text + "\n")
+        _write_output(args.output, text + "\n")
         print(f"wrote {args.output}")
     else:
         print(text)
@@ -439,14 +441,15 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    from repro.harness.suite import save_results
+    from repro.harness.suite import export_results
 
     try:
-        save_results(args.path, args.experiments or None,
-                     jobs=args.jobs, executor=args.executor)
+        payload = export_results(args.experiments or None,
+                                 jobs=args.jobs, executor=args.executor)
     except KeyError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    _write_output(args.path, json.dumps(payload, indent=1))
     print(f"wrote {args.path}")
     return 0
 
@@ -729,7 +732,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except _OutputError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -29,7 +29,6 @@ from repro.engine.cache import (
 from repro.engine.compile import (
     CompiledCell,
     CompileStats,
-    compile_cells,
     compile_stats,
     reset_compile_stats,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "caching_disabled",
     "caching_enabled",
     "clear_caches",
-    "compile_cells",
     "compile_stats",
     "efficiency_scale",
     "lower_rooflines_s",

@@ -324,18 +324,6 @@ def scatter(program: GridProgram) -> list[CompiledCell]:
     return cells
 
 
-def compile_cells(scenarios: Sequence[Scenario],
-                  ) -> tuple[list[CompiledCell], CompileStats]:
-    """Gather, lower and scatter one grid in a single call.
-
-    Drivers that want per-phase wall times (``Runner.run_grid``) call the
-    phases themselves and stamp the stats afterwards.
-    """
-    program = gather(list(scenarios))
-    lower(program)
-    return scatter(program), program.stats
-
-
 # -- process-wide stats plumbing (engine.cache style) ----------------------
 _LOCK = threading.Lock()
 _TOTALS = CompileStats()
@@ -382,7 +370,6 @@ __all__ = [
     "CompileStats",
     "CompiledCell",
     "GridProgram",
-    "compile_cells",
     "compile_stats",
     "gather",
     "lower",

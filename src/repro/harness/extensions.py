@@ -20,11 +20,7 @@ from repro.analysis import (
     sparsity_sweep,
 )
 from repro.core.result import ResultTable
-from repro.engine import InferenceSession
-from repro.frameworks import load_framework
 from repro.harness.figures import fig12_time_vs_power
-from repro.hardware import load_device
-from repro.models import load_model
 from repro.runtime import Scenario, default_runner
 
 _RUNNER = default_runner()
@@ -145,13 +141,11 @@ def ext_sustained_throughput() -> ResultTable:
         )
 
     # DVFS variant: the same Raspberry Pi with the firmware soft limit on.
-    rpi = load_device("Raspberry Pi 3B")
+    session = _RUNNER.session(Scenario("Inception-v4", "Raspberry Pi 3B", "TFLite"))
     throttling_spec = dataclasses.replace(
-        rpi.thermal, throttle_c=60.0, throttle_stop_c=55.0, throttle_clock_factor=0.6)
-    throttling_rpi = dataclasses.replace(rpi, thermal=throttling_spec)
-    deployed = load_framework("TFLite").deploy(load_model("Inception-v4"), throttling_rpi)
-    # Deploys onto a mutated (DVFS-limited) device the Runner cannot name.
-    result = simulate_sustained(InferenceSession(deployed))  # repro: allow[ARCH001]
+        session.deployed.device.thermal, throttle_c=60.0, throttle_stop_c=55.0,
+        throttle_clock_factor=0.6)
+    result = simulate_sustained(session, thermal=throttling_spec)
     table.add_row(
         "Raspberry Pi 3B (DVFS)",
         framework="TFLite",

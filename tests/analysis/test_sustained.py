@@ -44,6 +44,17 @@ class TestSustainedRun:
         assert result.slowdown == pytest.approx(1 / 0.6, rel=0.01)
         assert 0 < result.sustained_fps < result.burst_fps
 
+    def test_thermal_argument_matches_a_device_built_with_that_spec(self):
+        rpi = load_device("Raspberry Pi 3B")
+        spec = dataclasses.replace(rpi.thermal, throttle_c=60.0,
+                                   throttle_stop_c=55.0, throttle_clock_factor=0.6)
+        overridden = simulate_sustained(_session("Raspberry Pi 3B", "TFLite"),
+                                        thermal=spec)
+        rebuilt = simulate_sustained(
+            _session("", "TFLite", device=dataclasses.replace(rpi, thermal=spec)))
+        assert overridden == rebuilt
+        assert overridden.throttle_events >= 1
+
     def test_trace_is_time_ordered(self):
         result = simulate_sustained(_session("Jetson Nano", "TensorRT"),
                                     duration_s=300.0)

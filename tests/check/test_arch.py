@@ -280,6 +280,15 @@ class TestArch006FleetDeterminism:
         assert rules_of(findings) == {"ARCH006"}
         assert len(findings) == 2
 
+    def test_from_import_after_the_call_is_tracked(self):
+        snippet = """
+        def jittered(t):
+            return t + jitter()
+
+        from random import random as jitter
+        """
+        assert rules_of(lint(snippet, "src/repro/fleet/sim.py")) == {"ARCH006"}
+
     def test_datetime_now_is_flagged(self):
         snippet = """
         import datetime

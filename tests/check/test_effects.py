@@ -1,6 +1,9 @@
 """Effects pass: the real tree is effect-clean; seeded defects pin every
 RACE/KEY/ALIAS rule id; lock guards, clones and suppressions silence them."""
 
+import os
+import subprocess
+import sys
 import textwrap
 
 from repro.check import astutil, effects
@@ -108,6 +111,20 @@ class TestRace002SharedContainerMutation:
         assert rules_of(findings) == {"RACE002"}
         assert "_RESULTS" in findings[0].message
 
+    def test_def_nested_under_an_if_binds_a_local_name(self):
+        snippet = """
+        _CACHE = {}
+
+        class Runner:
+            def run_cells(self, cells, fast):
+                if fast:
+                    def _CACHE(cell):
+                        return cell
+                for cell in cells:
+                    _CACHE[cell] = 1
+        """
+        assert check(snippet) == []
+
     def test_global_list_append_in_a_callee_is_flagged(self):
         snippet = """
         _LOG = []
@@ -214,6 +231,46 @@ class TestRace004PureLayerBoundary:
                 """), "src/repro/fleet/extras.py"),
         ]
         assert rules_of(effects.check_modules(modules)) == {"RACE004"}
+
+    def test_named_origin_does_not_depend_on_the_hash_seed(self):
+        # two wall-clock callees: the message names the first call site's,
+        # whatever order a set of function ids would iterate in
+        script = textwrap.dedent('''
+            from repro.check import astutil, effects
+
+            CLOCK = """
+            import time
+
+            def stamp():
+                return first() + second()
+
+            def first():
+                return time.time()
+
+            def second():
+                return time.perf_counter()
+            """
+            PURE = """
+            from repro.measurement.clock import stamp
+
+            def lower(cells):
+                return [stamp() for cell in cells]
+            """
+            modules = [
+                astutil.load_source(CLOCK, "src/repro/measurement/clock.py"),
+                astutil.load_source(PURE, "src/repro/engine/lower.py"),
+            ]
+            print(effects.check_modules(modules)[0].message)
+            ''')
+        messages = {
+            subprocess.run([sys.executable, "-c", script], check=True,
+                           capture_output=True, text=True,
+                           env={**os.environ, "PYTHONHASHSEED": str(seed),
+                                "PYTHONPATH": str(astutil.package_root().parent)}
+                           ).stdout
+            for seed in range(4)}
+        assert len(messages) == 1
+        assert "time.time() in repro/measurement/clock.py:first" in messages.pop()
 
     def test_seeded_rng_callee_is_deterministic_and_fine(self):
         modules = [

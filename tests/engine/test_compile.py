@@ -77,7 +77,9 @@ class TestThreeWayOpEquivalence:
     def test_full_zoo_lowered_bit_identical(self):
         scenarios = [Scenario(model, "Jetson TX2", "PyTorch")
                      for model in list_models()]
-        cells, _ = sweep_compile.compile_cells(scenarios)
+        program = sweep_compile.gather(scenarios)
+        sweep_compile.lower(program)
+        cells = sweep_compile.scatter(program)
         compiled = {cell.scenario.key: cell for cell in cells}
         checked = 0
         for scenario in scenarios:
@@ -240,7 +242,9 @@ class TestCompositionIndependence:
 class TestCompileStats:
     def test_counters_shape(self):
         grid = MIXED_CELLS
-        cells, program_stats = sweep_compile.compile_cells(grid)
+        program = sweep_compile.gather(grid)
+        sweep_compile.lower(program)
+        cells, program_stats = sweep_compile.scatter(program), program.stats
         assert len(cells) == len(grid)
         assert program_stats.cells == len(grid)
         assert 0 < program_stats.unique_plans <= program_stats.cells

@@ -163,6 +163,23 @@ class TestRecommendAndPlaceBoundaries:
         assert place_err == "error: unknown model: 'NoModel'\n"
 
 
+class TestOutputPaths:
+    @pytest.mark.parametrize("argv", [
+        ["export", "{out}", "table6"],
+        ["suite", "table6", "--output", "{out}"],
+        ["place", "MobileNet-v2", "--device", "Jetson Nano", "--output",
+         "{out}"],
+        [*FLEET_RUN, "--output", "{out}"],
+    ], ids=lambda argv: argv[0])
+    def test_unwritable_path_is_a_one_line_error(self, argv, tmp_path,
+                                                 capsys):
+        out = str(tmp_path / "missing" / "x.json")
+        assert _exit_code([out if arg == "{out}" else arg
+                           for arg in argv]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out}: No such file or directory\n")
+
+
 class TestDiffBoundaries:
     def test_missing_snapshot_is_a_one_line_error(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
