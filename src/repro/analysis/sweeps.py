@@ -71,8 +71,9 @@ def sparsity_sweep(
         caption="Frameworks without sparse kernels stay flat across the row "
         "(Table II, 'Pruning').",
     )
-    # prune_graph and deploy both clone their input, so one source graph and
-    # one pruned graph per sparsity can be shared across every framework.
+    # prune_graph returns a fresh graph and deploy never mutates its input
+    # (prepared graphs are derived and shared), so one pruned graph per
+    # sparsity serves every framework.
     source = load_model(model_name)
     pruned = {sparsity: prune_graph(source, sparsity) for sparsity in sparsities}
     for framework_name in framework_names:

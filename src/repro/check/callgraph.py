@@ -71,8 +71,6 @@ class FunctionNode:
     module: SourceModule
     node: ast.FunctionDef | ast.AsyncFunctionDef
     cls: str | None = None
-    #: direct nested ``def``s, by bare name (resolution tier 1).
-    nested: dict[str, "FunctionNode"] = field(default_factory=dict)
     calls: list["CallSite"] = field(default_factory=list)
     refs: list["CallSite"] = field(default_factory=list)
 
@@ -98,7 +96,11 @@ class CallSite:
 
 @dataclass
 class ModuleNode:
-    """Per-module namespace facts the resolver consults."""
+    """Per-module namespace facts the resolver consults.
+
+    ``functions`` is keyed by qualname; later defs of a taken qualname (a
+    property setter, an if/else twin) get ``#2``, ``#3``... in source order.
+    """
 
     module: SourceModule
     functions: dict[str, FunctionNode] = field(default_factory=dict)
@@ -110,6 +112,15 @@ class ModuleNode:
     dispatch_tables: dict[str, tuple[str, ...]] = field(default_factory=dict)
     #: module-level loop vars bound to literal tuples of function names.
     loop_functions: dict[str, tuple[str, ...]] = field(default_factory=dict)
+
+    def fids(self, qual: str) -> tuple[str, ...]:
+        """fids of every def named ``qual`` here, twins included."""
+        out: list[str] = []
+        key = qual
+        while key in self.functions:
+            out.append(self.functions[key].fid)
+            key = f"{qual}#{len(out) + 1}"
+        return tuple(out)
 
 
 _CONTAINER_NODES = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
@@ -155,28 +166,33 @@ class CallGraph:
             self._index_module_assign(mnode, stmt)
 
     def _index_stmt(self, mnode: ModuleNode, stmt: ast.stmt, prefix: str,
-                    cls: str | None,
-                    parent: FunctionNode | None = None) -> None:
+                    cls: str | None) -> None:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             qual = f"{prefix}{stmt.name}"
+            twins = len(mnode.fids(qual))  # a setter, an if/else twin
+            key = f"{qual}#{twins + 1}" if twins else qual
             fnode = FunctionNode(
-                fid=f"{mnode.module.display}:{qual}",
+                fid=f"{mnode.module.display}:{key}",
                 name=stmt.name, qualname=qual, module=mnode.module,
                 node=stmt, cls=cls)
-            mnode.functions[qual] = fnode
+            mnode.functions[key] = fnode
             self.functions[fnode.fid] = fnode
             self.by_name.setdefault(stmt.name, []).append(fnode)
-            if parent is not None:
-                parent.nested[stmt.name] = fnode
             for inner in stmt.body:
-                self._index_stmt(mnode, inner, prefix=f"{qual}.", cls=cls,
-                                 parent=fnode)
+                self._index_stmt(mnode, inner, prefix=f"{qual}.", cls=cls)
         elif isinstance(stmt, ast.ClassDef):
             for inner in stmt.body:
                 self._index_stmt(mnode, inner, prefix=f"{stmt.name}.",
                                  cls=stmt.name)
         elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
             self._index_import(mnode, stmt)
+        else:  # defs under if/for/while/with/try/match bind in this scope
+            for child in ast.iter_child_nodes(stmt):
+                block = (child.body if isinstance(
+                    child, (ast.excepthandler, ast.match_case)) else [child])
+                for inner in block:
+                    if isinstance(inner, ast.stmt):
+                        self._index_stmt(mnode, inner, prefix, cls)
 
     def _index_import(self, mnode: ModuleNode,
                       stmt: ast.Import | ast.ImportFrom) -> None:
@@ -287,24 +303,25 @@ class CallGraph:
                           expr: ast.expr) -> tuple[str, ...]:
         """Resolve a function-valued expression in module-level scope."""
         if isinstance(expr, ast.Name):
-            own = mnode.functions.get(expr.id)
-            if own is not None:
-                return (own.fid,)
+            own = mnode.fids(expr.id)
+            if own:
+                return own
             if expr.id in mnode.imported_names:
                 return self._imported_function(mnode, expr.id)
         elif isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name):
-            base = expr.value.id
-            dotted = None
-            if base in mnode.import_aliases:
-                dotted = mnode.import_aliases[base]
-            elif base in mnode.imported_names:  # `from pkg import submodule`
-                src, orig = mnode.imported_names[base]
-                dotted = f"{src}.{orig}" if src else orig
-            if dotted is not None:
-                target = self._module_by_dotted.get(dotted)
-                if target is not None and expr.attr in target.functions:
-                    return (target.functions[expr.attr].fid,)
+            target = self._bound_module(mnode, expr.value.id)
+            if target is not None:
+                return target.fids(expr.attr)
         return ()
+
+    def _bound_module(self, mnode: ModuleNode, name: str) -> ModuleNode | None:
+        """The package module ``name`` binds: ``import a.b as name``, or
+        ``from pkg import name`` of a submodule."""
+        dotted = mnode.import_aliases.get(name)
+        if dotted is None and name in mnode.imported_names:
+            src, orig = mnode.imported_names[name]
+            dotted = f"{src}.{orig}" if src else orig
+        return self._module_by_dotted.get(dotted) if dotted is not None else None
 
     def _find_registrars(self) -> dict[str, list[tuple[str, str]]]:
         """Methods that store one of their parameters into a subscripted
@@ -387,15 +404,11 @@ class CallGraph:
         if fnode is None:
             return ()
         mnode = self.by_module[fnode.module.display]
-        nested = fnode.nested
         out: list[str] = []
         for node in fnode.scope.nodes:
             if isinstance(node, ast.Return) and isinstance(node.value, ast.Name):
-                name = node.value.id
-                if name in nested:
-                    out.append(nested[name].fid)
-                elif name in mnode.functions:
-                    out.append(mnode.functions[name].fid)
+                out.extend(self.nested(fnode, node.value.id)
+                           or mnode.fids(node.value.id))
         return tuple(dict.fromkeys(out))
 
     # -- resolution --------------------------------------------------------
@@ -450,11 +463,9 @@ class CallGraph:
 
     def _resolve_bare(self, mnode: ModuleNode, fnode: FunctionNode | None,
                       name: str) -> tuple[str, ...]:
-        if fnode is not None and name in fnode.nested:        # tier 1
-            return (fnode.nested[name].fid,)
-        own = mnode.functions.get(name)                       # tier 2
-        if own is not None:
-            return (own.fid,)
+        own = self.nested(fnode, name) or mnode.fids(name)    # tiers 1, 2
+        if own:
+            return own
         if name in mnode.imported_names:                      # tier 3
             return self._imported_function(mnode, name)
         candidates = self.by_name.get(name, ())               # tiers 6/7
@@ -469,20 +480,12 @@ class CallGraph:
         base = func.value
         if isinstance(base, ast.Name):
             if base.id == "self" and fnode is not None and fnode.cls:
-                own = mnode.functions.get(f"{fnode.cls}.{method}")
-                if own is not None:
-                    return (own.fid,)
-            if base.id in mnode.import_aliases:                # alias.f()
-                target = self._module_by_dotted.get(
-                    mnode.import_aliases[base.id])
-                if target is not None and method in target.functions:
-                    return (target.functions[method].fid,)
-            if base.id in mnode.imported_names:    # `from pkg import module`
-                src, orig = mnode.imported_names[base.id]
-                target = self._module_by_dotted.get(
-                    f"{src}.{orig}" if src else orig)
-                if target is not None and method in target.functions:
-                    return (target.functions[method].fid,)
+                own = mnode.fids(f"{fnode.cls}.{method}")
+                if own:
+                    return own
+            target = self._bound_module(mnode, base.id)        # module.f()
+            if target is not None and target.fids(method):
+                return target.fids(method)
             cls = mnode.instance_classes.get(base.id)          # INSTANCE.m()
             if cls is not None:
                 resolved = self._resolve_method(mnode, cls, method)
@@ -506,25 +509,26 @@ class CallGraph:
 
     def _imported_function(self, mnode: ModuleNode,
                            name: str) -> tuple[str, ...]:
-        """The fid ``from mod import name`` binds, if the package defines it."""
+        """The fid ``from mod import name`` binds, if the package defines it
+        (followed through re-exports such as a package ``__init__``)."""
         src, orig = mnode.imported_names[name]
         target = self._module_by_dotted.get(src)
-        if target is not None and orig in target.functions:
-            return (target.functions[orig].fid,)
-        return ()
+        if target is None or target is mnode:
+            return ()
+        if orig in target.imported_names and not target.fids(orig):
+            return self._imported_function(target, orig)
+        return target.fids(orig)
 
     def _resolve_method(self, mnode: ModuleNode, cls: str,
                         method: str) -> tuple[str, ...]:
-        own = mnode.functions.get(f"{cls}.{method}")
-        if own is not None:
-            return (own.fid,)
+        own = mnode.fids(f"{cls}.{method}")
+        if own:
+            return own
         if cls in mnode.imported_names:
             src, orig = mnode.imported_names[cls]
             target = self._module_by_dotted.get(src)
-            if target is not None:
-                theirs = target.functions.get(f"{orig}.{method}")
-                if theirs is not None:
-                    return (theirs.fid,)
+            if target is not None and target.fids(f"{orig}.{method}"):
+                return target.fids(f"{orig}.{method}")
         candidates = [f for f in self.functions.values()
                       if f.cls == cls and f.name == method]
         if len(candidates) == 1:
@@ -536,21 +540,24 @@ class CallGraph:
                           arg: ast.expr) -> tuple[str, ...]:
         """Function values passed as arguments (pool.map targets, builders)."""
         if isinstance(arg, ast.Name):
-            if fnode is not None and arg.id in fnode.nested:
-                return (fnode.nested[arg.id].fid,)
-            own = mnode.functions.get(arg.id)
-            if own is not None:
-                return (own.fid,)
+            own = self.nested(fnode, arg.id) or mnode.fids(arg.id)
+            if own:
+                return own
             if arg.id in mnode.imported_names:
                 return self._imported_function(mnode, arg.id)
         elif isinstance(arg, ast.Attribute) and isinstance(arg.value, ast.Name):
             if arg.value.id == "self" and fnode is not None and fnode.cls:
-                own = mnode.functions.get(f"{fnode.cls}.{arg.attr}")
-                if own is not None:
-                    return (own.fid,)
+                return mnode.fids(f"{fnode.cls}.{arg.attr}")
         return ()
 
     # -- public resolution API (used by the effects pass) ------------------
+    def nested(self, fnode: FunctionNode | None, name: str) -> tuple[str, ...]:
+        """fids of the ``def name`` nested directly in ``fnode``."""
+        if fnode is None:
+            return ()
+        return self.by_module[fnode.module.display].fids(
+            f"{fnode.qualname}.{name}")
+
     def resolve_module(self, dotted: str) -> ModuleNode | None:
         """ModuleNode for a package-relative dotted name (``engine.cache``)."""
         return self._module_by_dotted.get(dotted)

@@ -659,7 +659,7 @@ class _FunctionAnalyzer:
                 if qual is not None:
                     site.lambda_global_reads.add(qual)
                 elif sub.id in self.index.scope_names \
-                        or sub.id in self.fnode.nested:
+                        or self.graph.nested(self.fnode, sub.id):
                     continue  # module functions/classes; call edge below
                 elif sub.id in self.local_bound or sub.id in self.eff.params:
                     site.lambda_free_reads.add(sub.id)

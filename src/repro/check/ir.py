@@ -227,43 +227,49 @@ def verify_transform(kind: str, base: Graph, transformed: Graph,
     return findings
 
 
+def transform_outputs(graph: Graph, label: str) -> list[tuple[str, str, Graph, Graph]]:
+    """``(step, kind, base, output)`` for every transform of ``graph``.
+
+    The last is a composition: freezing a fused graph exercises fusion
+    *chains* (Dropout folded into an op that is itself fused away).
+    """
+    fused = fuse_graph(graph)
+    return [
+        (f"{label}@fuse", "fuse", graph, fused),
+        (f"{label}@prune", "prune", graph, prune_graph(graph, sparsity=0.5)),
+        (f"{label}@quantize", "quantize", graph, quantize_graph(graph, DType.INT8)),
+        (f"{label}@freeze", "freeze", graph, freeze_graph(graph)),
+        (f"{label}@fuse+freeze", "freeze", fused, freeze_graph(fused)),
+    ]
+
+
 def verify_transforms(graph: Graph, label: str | None = None) -> list[Finding]:
     """Apply every transform to ``graph`` and verify output + conservation."""
-    label = label or graph.name
     findings: list[Finding] = []
-    fused = fuse_graph(graph)
-    outputs = [
-        ("fuse", graph, fused),
-        ("prune", graph, prune_graph(graph, sparsity=0.5)),
-        ("quantize", graph, quantize_graph(graph, DType.INT8)),
-        ("freeze", graph, freeze_graph(graph)),
-        # Composition: freezing a fused graph exercises fusion *chains*
-        # (Dropout folded into an op that is itself fused away).
-        ("freeze", fused, freeze_graph(fused)),
-    ]
-    for kind, base, transformed in outputs:
-        step = f"{label}@{kind}" if base is graph else f"{label}@fuse+{kind}"
+    for step, kind, base, transformed in transform_outputs(graph, label or graph.name):
         findings += verify_graph(transformed, label=step)
         findings += verify_transform(kind, base, transformed, label=step)
     return findings
 
 
+def verify_zoo(models: list[str] | None, check_graph, check_transforms) -> list[Finding]:
+    """``check_graph`` every zoo model (or ``models``), then
+    ``check_transforms`` each well-formed one (transforms of a malformed
+    graph would double-report); the IR and shapes passes share this loop."""
+    from repro.models import list_models, load_model
+
+    findings: list[Finding] = []
+    for name in models if models is not None else list_models():
+        graph = load_model(name)
+        findings += check_graph(graph) or check_transforms(graph)
+    return findings
+
+
 def verify_model(model_name: str) -> list[Finding]:
     """Verify one zoo model and all of its transform outputs."""
-    from repro.models import load_model
-
-    graph = load_model(model_name)
-    findings = verify_graph(graph)
-    if not findings:  # transforms of a malformed graph would double-report
-        findings += verify_transforms(graph)
-    return findings
+    return verify_zoo([model_name], verify_graph, verify_transforms)
 
 
 def run(models: list[str] | None = None) -> list[Finding]:
     """IR pass entry point: every zoo model (or ``models``) + transforms."""
-    from repro.models import list_models
-
-    findings: list[Finding] = []
-    for name in models if models is not None else list_models():
-        findings += verify_model(name)
-    return findings
+    return verify_zoo(models, verify_graph, verify_transforms)

@@ -38,12 +38,12 @@ from __future__ import annotations
 import math
 
 from repro.check.findings import Finding, Severity
+from repro.check.ir import transform_outputs, verify_zoo
 from repro.check.shape_rules import Derived, TransferError, apply_transfer
 from repro.graphs import ops as O
 from repro.graphs.graph import Graph
 from repro.graphs.symbolic import Dim, dim, evaluate_dim, free_symbols
 from repro.graphs.tensor import DType, TensorShape
-from repro.graphs.transforms import freeze_graph, fuse_graph, prune_graph, quantize_graph
 
 RULES: dict[str, tuple[Severity, str]] = {
     "SHAPE001": (Severity.ERROR,
@@ -356,41 +356,20 @@ def verify_transforms(graph: Graph, label: str | None = None) -> list[Finding]:
     """Apply every transform and verify shape preservation (SHAPE008)."""
     label = label or graph.name
     _, base_env, _ = _interpret_concrete(graph, f"graph:{label}")
-    fused = fuse_graph(graph)
-    outputs = [
-        ("fuse", graph, fused),
-        ("prune", graph, prune_graph(graph, sparsity=0.5)),
-        ("quantize", graph, quantize_graph(graph, DType.INT8)),
-        ("freeze", graph, freeze_graph(graph)),
-        # Composition: the same fusion-chain case the IR pass exercises.
-        ("freeze", fused, freeze_graph(fused)),
-    ]
     findings: list[Finding] = []
-    for kind, base, transformed in outputs:
-        step = f"{label}@{kind}" if base is graph else f"{label}@fuse+{kind}"
+    for step, kind, _base, transformed in transform_outputs(graph, label):
         findings += verify_transform_shapes(kind, base_env, transformed, step)
     return findings
 
 
 def verify_model(model_name: str) -> list[Finding]:
     """Verify one zoo model and all of its transform outputs."""
-    from repro.models import load_model
-
-    graph = load_model(model_name)
-    findings = verify_graph_shapes(graph)
-    if not findings:  # transforms of a broken graph would double-report
-        findings += verify_transforms(graph)
-    return findings
+    return verify_zoo([model_name], verify_graph_shapes, verify_transforms)
 
 
 def run(models: list[str] | None = None) -> list[Finding]:
     """Shapes pass entry point: every zoo model (or ``models``) + transforms."""
-    from repro.models import list_models
-
-    findings: list[Finding] = []
-    for name in models if models is not None else list_models():
-        findings += verify_model(name)
-    return findings
+    return verify_zoo(models, verify_graph_shapes, verify_transforms)
 
 
 # --------------------------------------------------------------------------

@@ -702,7 +702,7 @@ def build_parser() -> argparse.ArgumentParser:
                               choices=("round-robin", "least-outstanding",
                                        "energy-aware"),
                               help="routing policy")
-    fleet_parser.add_argument("--epochs", type=int, default=1024,
+    fleet_parser.add_argument("--epochs", type=_positive_int, default=1024,
                               help="routing epochs (default 1024)")
     fleet_parser.add_argument("--seed", type=_non_negative_int, default=0,
                               help="workload seed (reports are byte-identical "

@@ -28,10 +28,12 @@ Five caches, one per pipeline stage:
   (the warm-suite fast path of ``harness.suite.export_results``).
 
 The purity contract: cached graphs, deployments and plans are SHARED
-instances — callers must treat them as immutable.  Transforms already obey
-this (they `clone()` before annotating); anything that wants to mutate must
-deploy outside the cache (`Framework.deploy` directly) or `clear_caches()`
-afterwards.
+instances — callers must treat them as immutable.  Below this layer the
+prepared graph of every deployment is shared too (one per source graph,
+transform chain and dtype, memoized by :meth:`Graph.derived`), so a
+deployment built outside the cache still holds a shared graph: to mutate
+a graph, ``clone()`` it first; to mutate a deployment, deploy outside the
+cache (`Framework.deploy` directly) or `clear_caches()` afterwards.
 
 Thread safety: each cache takes a lock around its table, so the parallel
 sweep runner's workers share one memo layer.  A racing build may run twice;

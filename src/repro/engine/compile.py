@@ -147,7 +147,6 @@ class _PlanEntry:
     init_time_s: float | None = None
     utilization: float | None = None
     power_w: float | None = None
-    weight_bytes: int | None = None
 
 
 @dataclass
@@ -308,7 +307,6 @@ def scatter(program: GridProgram) -> list[CompiledCell]:
             entry.utilization = plan_utilization(plan)
             entry.power_w = deployed.device.power.power(entry.utilization)
             entry.init_time_s = deployed_init_time_s(deployed)
-            entry.weight_bytes = deployed.weight_bytes()
         cells.append(CompiledCell(
             scenario=scenario,
             cache_outcome=outcome,
@@ -317,7 +315,7 @@ def scatter(program: GridProgram) -> list[CompiledCell]:
             init_time_s=entry.init_time_s,
             utilization=entry.utilization,
             power_w=entry.power_w,
-            weight_bytes=entry.weight_bytes,
+            weight_bytes=entry.deployed.weight_bytes(),
             cpu_scale=entry.deployed.cpu_scale,
             device_name=entry.deployed.device.name,
         ))

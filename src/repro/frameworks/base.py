@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 from repro.core.errors import CompatibilityError, IncompatibleModelError, OutOfMemoryError
 from repro.core.quantity import MEBI
 from repro.graphs import Graph
-from repro.graphs.ops import Op, OpCategory
+from repro.graphs.ops import Conv3D, DepthwiseConv2D, Op, OpCategory
 from repro.graphs.tensor import DType
 from repro.hardware.compute import ComputeKind, ComputeUnit
 from repro.hardware.device import Device, DeviceCategory
@@ -87,7 +87,11 @@ class FrameworkOverheads:
 
 @dataclass
 class DeployedModel:
-    """A model compiled/prepared for one (framework, device) pair."""
+    """A model compiled/prepared for one (framework, device) pair.
+
+    ``graph`` is shared by every deployment of one (model, transform chain,
+    dtype) (:meth:`Graph.derived`): to annotate its ops, ``clone()`` first.
+    """
 
     framework: "Framework"
     device: Device
@@ -104,41 +108,28 @@ class DeployedModel:
     #: built directly (and therefore free to be mutated) stay None and are
     #: never plan-cached.
     cache_key: tuple | None = None
-    # Lazy byte-count memos: the deployed graph is immutable once deploy()
-    # returns, so these integer walks are done once and shared by every
-    # consumer (roofline inputs, one-time costs, batch memory planning).
-    _weight_bytes: int | None = field(default=None, repr=False, compare=False)
-    _peak_activation_bytes: int | None = field(default=None, repr=False,
-                                               compare=False)
-    _cut_points: list[CutPoint] | None = field(default=None, repr=False,
-                                               compare=False)
 
     @property
     def is_paged(self) -> bool:
         return self.storage_mode == "paged"
 
     def weight_bytes(self) -> int:
-        """Total weight bytes of the deployed graph, memoized."""
-        if self._weight_bytes is None:
-            self._weight_bytes = self.graph.weight_bytes()
-        return self._weight_bytes
+        """Total weight bytes of the deployed graph (memoized on it)."""
+        return self.graph.weight_bytes()
 
     def peak_activation_bytes(self) -> int:
-        """Peak live activation bytes of the deployed graph, memoized."""
-        if self._peak_activation_bytes is None:
-            self._peak_activation_bytes = self.graph.peak_activation_bytes()
-        return self._peak_activation_bytes
+        """Peak live activation bytes of the deployed graph (memoized on it)."""
+        return self.graph.peak_activation_bytes()
 
     def cut_points(self) -> list[CutPoint]:
         """Every split location of the deployed graph
-        (:func:`repro.distribution.partition.cut_points`), memoized; each
-        call returns a fresh list of the shared frozen points."""
-        if self._cut_points is None:
-            # Lazy: repro.distribution imports this module.
-            from repro.distribution.partition import cut_points
+        (:func:`repro.distribution.partition.cut_points`), memoized on the
+        graph; each call returns a fresh list of the shared frozen points."""
+        # Lazy: repro.distribution imports this module.
+        from repro.distribution.partition import cut_points
 
-            self._cut_points = cut_points(self.graph)
-        return list(self._cut_points)
+        return list(self.graph.memoized(
+            "cut_points", lambda: cut_points(self.graph)))
 
     def footprint_bytes(self) -> int:
         over = self.framework.overheads
@@ -185,8 +176,6 @@ class DeployedModel:
         pays context creation and per-parameter copies, which is why
         ``.to()`` dominates the PyTorch TX2 profile (Figure 5c).
         """
-        from repro.hardware.compute import ComputeKind
-
         if self.unit.kind is not ComputeKind.GPU:
             return 0.0
         copy_s = self.weight_bytes() / (self.device.memory.bandwidth_bytes_per_s / 2)
@@ -252,9 +241,10 @@ class Framework(abc.ABC):
     def deploy(self, graph: Graph, device: Device, dtype: DType | None = None) -> DeployedModel:
         """Prepare ``graph`` for execution on ``device``.
 
-        Raises the Table V failure taxonomy: :class:`CompatibilityError`,
-        :class:`IncompatibleModelError`, :class:`ConversionError`,
-        :class:`OutOfMemoryError`.
+        ``graph`` is read-only from here on: its prepared form is memoized
+        on it (:meth:`Graph.derived`).  Raises the Table V failure taxonomy:
+        :class:`CompatibilityError`, :class:`IncompatibleModelError`,
+        :class:`ConversionError`, :class:`OutOfMemoryError`.
         """
         if not device.supports_framework(self.name):
             raise CompatibilityError(
@@ -303,12 +293,8 @@ class Framework(abc.ABC):
     def prepare_graph(self, graph: Graph, device: Device, unit: ComputeUnit,
                       dtype: DType) -> Graph:
         """Apply the optimizations this framework implements (Table II)."""
-        from repro.graphs.transforms import fuse_graph, quantize_graph
-
-        prepared = quantize_graph(graph, dtype) if dtype is not DType.FP32 else graph.clone()
-        if self.capabilities.fusion:
-            prepared = fuse_graph(prepared)
-        return prepared
+        return graph.derived(fuse=self.capabilities.fusion,
+                             dtype=None if dtype is DType.FP32 else dtype)
 
     def plan_memory(self, deployed: DeployedModel) -> None:
         footprint = deployed.footprint_bytes()
@@ -343,8 +329,6 @@ class Framework(abc.ABC):
         """
         base = self.kernel_quality.get(unit.kind, 0.15) * self._size_factor(op, unit, batch_size)
         if op.category is OpCategory.CONV:
-            from repro.graphs.ops import Conv3D, DepthwiseConv2D
-
             if isinstance(op, DepthwiseConv2D) or getattr(op, "groups", 1) == op.output_shape.channels:
                 return base * self.depthwise_efficiency
             if isinstance(op, Conv3D):

@@ -8,8 +8,10 @@ than TensorFlow on the Jetson TX2 for everything except MobileNet-v2
 
 from __future__ import annotations
 
+from repro.core.errors import IncompatibleModelError
 from repro.core.quantity import MEBI
 from repro.frameworks.base import Framework, FrameworkCapabilities, FrameworkOverheads
+from repro.graphs.ops import DepthwiseConv2D
 from repro.graphs.tensor import DType
 from repro.hardware.compute import ComputeKind
 
@@ -53,8 +55,6 @@ class Caffe(Framework):
     depthwise_efficiency = 0.35  # BLAS-backed CPU path is adequate...
 
     def check_model_support(self, graph, device, unit) -> None:
-        from repro.core.errors import IncompatibleModelError
-
         super().check_model_support(graph, device, unit)
         if graph.metadata.get("recurrent"):
             raise IncompatibleModelError(
@@ -65,8 +65,6 @@ class Caffe(Framework):
         """...but the CUDA grouped-convolution loop is the MobileNet sore
         spot the paper observes on the TX2 (Figure 4): depthwise efficiency
         collapses on the GPU only."""
-        from repro.graphs.ops import DepthwiseConv2D
-
         efficiency = super().kernel_efficiency(op, unit, dtype, graph, batch_size)
         if unit.kind is ComputeKind.GPU and isinstance(op, DepthwiseConv2D):
             efficiency *= 0.03 / self.depthwise_efficiency

@@ -14,7 +14,6 @@ from repro.core.errors import ConversionError
 from repro.core.quantity import MEBI
 from repro.frameworks.base import Framework, FrameworkCapabilities, FrameworkOverheads
 from repro.graphs.tensor import DType
-from repro.graphs.transforms import fuse_graph, quantize_graph
 from repro.hardware.compute import ComputeKind
 
 # Models with a tuned VTA port whose parameters match the hardware spec
@@ -62,8 +61,7 @@ class TVMVTA(Framework):
     depthwise_efficiency = 0.2  # GEMM overlay maps depthwise poorly
 
     def prepare_graph(self, graph, device, unit, dtype):
-        prepared = fuse_graph(graph)
-        return quantize_graph(prepared, dtype)
+        return graph.derived(fuse=True, dtype=dtype)
 
     def deploy(self, graph, device, dtype=None):
         deployed = super().deploy(graph, device, dtype)
@@ -122,5 +120,4 @@ class FINN(Framework):
             )
 
     def prepare_graph(self, graph, device, unit, dtype):
-        prepared = fuse_graph(graph)
-        return quantize_graph(prepared, DType.BINARY)
+        return graph.derived(fuse=True, dtype=DType.BINARY)

@@ -15,7 +15,6 @@ from repro.core.quantity import MEBI
 from repro.frameworks.base import Framework, FrameworkCapabilities, FrameworkOverheads
 from repro.graphs.ops import Op
 from repro.graphs.tensor import DType
-from repro.graphs.transforms import fuse_graph, quantize_graph
 from repro.hardware.compute import ComputeKind
 
 # Hand-tuning quality per model family: 1.0 = fully tuned kernels.  The
@@ -86,8 +85,7 @@ class NCSDK(Framework):
             )
 
     def prepare_graph(self, graph, device, unit, dtype):
-        prepared = fuse_graph(graph)
-        return quantize_graph(prepared, dtype)
+        return graph.derived(fuse=True, dtype=dtype)
 
     def kernel_efficiency(self, op: Op, unit, dtype, graph=None, batch_size=1) -> float:
         base = super().kernel_efficiency(op, unit, dtype, graph, batch_size)

@@ -58,4 +58,4 @@ class TensorFlow(Framework):
         """TensorFlow's fusion sits behind experimental flags (Table II's
         dagger mark); the out-of-the-box deployment the paper measured runs
         the plain static graph, so no transform is applied here."""
-        return graph.clone()
+        return graph.derived()

@@ -13,7 +13,6 @@ from __future__ import annotations
 from repro.core.quantity import MEBI
 from repro.frameworks.base import Framework, FrameworkCapabilities, FrameworkOverheads
 from repro.graphs.tensor import DType
-from repro.graphs.transforms import fuse_graph, quantize_graph
 from repro.hardware.compute import ComputeKind
 
 
@@ -57,5 +56,4 @@ class TensorRT(Framework):
 
     def prepare_graph(self, graph, device, unit, dtype):
         """Engine build: fuse, then calibrate to mixed precision."""
-        prepared = fuse_graph(graph)
-        return quantize_graph(prepared, dtype)
+        return graph.derived(fuse=True, dtype=dtype)

@@ -14,7 +14,6 @@ from repro.core.errors import ConversionError
 from repro.core.quantity import MEBI
 from repro.frameworks.base import Framework, FrameworkCapabilities, FrameworkOverheads
 from repro.graphs.tensor import DType
-from repro.graphs.transforms import freeze_graph, fuse_graph, quantize_graph
 from repro.hardware.compute import ComputeKind
 
 
@@ -67,6 +66,4 @@ class TFLite(Framework):
 
     def prepare_graph(self, graph, device, unit, dtype):
         """The full TFLite conversion pipeline: freeze, fuse, quantize."""
-        prepared = freeze_graph(graph)
-        prepared = fuse_graph(prepared)
-        return quantize_graph(prepared, dtype)
+        return graph.derived(freeze=True, fuse=True, dtype=dtype)

@@ -5,6 +5,10 @@ order (the builder can only reference already-created ops, so construction
 order is a valid schedule).  It exposes the aggregate quantities Table I
 reports (MACs, parameters, compute intensity) plus the memory figures the
 execution engine needs (weight bytes, peak activation liveness).
+
+Prepared graphs are shared (:meth:`Graph.derived`) and byte walks are
+memoized on the graph, so a graph is read-only once measured or derived
+from; code that annotates ops works on a ``clone()``.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ class Graph:
         self.name = name
         self.ops = list(operations)
         self.metadata = dict(metadata or {})
+        self._memo: dict = {}
         self._validate()
 
     def _validate(self) -> None:
@@ -65,7 +70,8 @@ class Graph:
         return len(self.ops)
 
     def clone(self) -> "Graph":
-        """Structural copy, so transforms never mutate a shared zoo instance.
+        """Structural copy with empty memos, the private graph a transform
+        may annotate in place.
 
         Ops reference each other only through ``inputs``, ``fused_into`` and
         ``absorbed``; everything else they hold (shapes, dtypes, scalars) is
@@ -92,7 +98,47 @@ class Graph:
         cloned_graph.name = self.name
         cloned_graph.ops = [mapping[id(op)] for op in self.ops]
         cloned_graph.metadata = copy.deepcopy(self.metadata)
+        cloned_graph._memo = {}
         return cloned_graph
+
+    # -- shared derivations --------------------------------------------------
+    def memoized(self, key, builder):
+        """``builder()`` once per ``key`` on this graph; later calls share it.
+
+        The first stored value wins a race (``setdefault``), so concurrent
+        callers converge on one object, as with the engine's memo caches.
+        """
+        if key not in self._memo:
+            self._memo.setdefault(key, builder())
+        return self._memo[key]
+
+    def derived(self, freeze: bool = False, fuse: bool = False,
+                dtype: DType | None = None) -> "Graph":
+        """This graph frozen, fused and quantized to ``dtype``, shared.
+
+        A prepared graph depends only on the source and the chain, never on
+        the device, so every deployment of one chain gets the same object:
+        the graph itself for an empty chain, else one ``clone()`` built on
+        first use.  Fusion and quantization commute; order is not keyed.
+        """
+        if not freeze and not fuse and dtype is None:
+            return self
+
+        def prepare() -> "Graph":
+            from repro.graphs.transforms.freeze import apply_freeze
+            from repro.graphs.transforms.fusion import apply_fusion
+            from repro.graphs.transforms.quantization import apply_quantization
+
+            prepared = self.clone()
+            if freeze:
+                apply_freeze(prepared)
+            if fuse:
+                apply_fusion(prepared)
+            if dtype is not None:
+                apply_quantization(prepared, dtype)
+            return prepared
+
+        return self.memoized(("derived", freeze, fuse, dtype), prepare)
 
     # -- Table I accounting -------------------------------------------------
     @property
@@ -112,13 +158,12 @@ class Graph:
         return self.total_macs / params
 
     def weight_bytes(self, dtype: DType | None = None) -> int:
-        """Total weight bytes; ``dtype`` overrides per-op annotations."""
+        """Total weight bytes; ``dtype`` overrides per-op annotations.
+        The annotated total (``dtype=None``) is memoized."""
         if dtype is None:
-            return sum(op.weight_bytes() for op in self.ops)
-        total = 0.0
-        for op in self.ops:
-            total += op.params * dtype.bytes
-        return int(total)
+            return self.memoized(
+                "weight_bytes", lambda: sum(op.weight_bytes() for op in self.ops))
+        return int(sum(op.params * dtype.bytes for op in self.ops))
 
     # -- memory liveness ----------------------------------------------------
     @staticmethod
@@ -132,44 +177,48 @@ class Graph:
             op = op.fused_into
         return op
 
-    def peak_activation_bytes(self) -> int:
-        """Peak live activation memory for a sequential single-batch run.
+    def liveness(self) -> Iterator[tuple[O.Op, int]]:
+        """``(op, live activation bytes)`` at each materializing op, in
+        schedule order, for a sequential single-batch run.
 
-        Computed by reference-counting each materialized buffer until its
-        last chain-external consumer has executed — the same liveness a
-        framework memory planner sees.  Fused-away ops share their anchor's
-        buffer instead of materializing an intermediate.
+        Each materialized buffer is reference-counted until its last
+        chain-external consumer has executed — the same liveness a
+        framework memory planner sees.  Fused-away ops share their
+        anchor's buffer instead of materializing an intermediate.
         """
+        anchor = self._chain_anchor
         remaining_uses = {id(op): 0 for op in self.ops}
         for op in self.ops:
-            consumer_anchor = self._chain_anchor(op)
+            consumer = anchor(op)
             for parent in op.inputs:
-                producer_anchor = self._chain_anchor(parent)
-                if producer_anchor is consumer_anchor:
-                    continue  # edge internal to one fused kernel
-                remaining_uses[id(producer_anchor)] += 1
+                producer = anchor(parent)
+                if producer is not consumer:  # else internal to one kernel
+                    remaining_uses[id(producer)] += 1
         # Graph outputs stay live until the end of the inference.
         for op in self.outputs:
-            remaining_uses[id(self._chain_anchor(op))] += 1
+            remaining_uses[id(anchor(op))] += 1
 
         live_bytes = 0
-        peak = 0
         alive: dict[int, int] = {}
         for op in self.ops:
             if not op.is_fused_away:
                 produced = op.output_bytes()
                 alive[id(op)] = produced
                 live_bytes += produced
-                peak = max(peak, live_bytes)
-            consumer_anchor = self._chain_anchor(op)
+                yield op, live_bytes
+            consumer = anchor(op)
             for parent in op.inputs:
-                producer_anchor = self._chain_anchor(parent)
-                if producer_anchor is consumer_anchor:
+                producer = anchor(parent)
+                if producer is consumer:
                     continue
-                remaining_uses[id(producer_anchor)] -= 1
-                if remaining_uses[id(producer_anchor)] == 0:
-                    live_bytes -= alive.pop(id(producer_anchor), 0)
-        return peak
+                remaining_uses[id(producer)] -= 1
+                if remaining_uses[id(producer)] == 0:
+                    live_bytes -= alive.pop(id(producer), 0)
+
+    def peak_activation_bytes(self) -> int:
+        """Peak of :meth:`liveness`, computed once and memoized."""
+        return self.memoized("peak_activation_bytes", lambda: max(
+            live_bytes for _op, live_bytes in self.liveness()))
 
     def inference_footprint_bytes(self) -> int:
         """Weights + peak activations: the deployment footprint the paper's

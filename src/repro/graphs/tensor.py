@@ -32,21 +32,24 @@ class DType(enum.Enum):
     """Numeric datatypes the studied frameworks deploy with (Table II).
 
     ``BINARY`` is the 1-bit weight type used by FINN on the PYNQ board.
+    Each member carries its width as plain attributes: ``bits`` per
+    element and ``bytes`` (``bits / 8``, fractional for sub-byte types).
     """
 
-    FP32 = "fp32"
-    FP16 = "fp16"
-    INT8 = "int8"
-    BINARY = "binary"
+    FP32 = "fp32", 32
+    FP16 = "fp16", 16
+    INT8 = "int8", 8
+    BINARY = "binary", 1
 
-    @property
-    def bits(self) -> int:
-        return {"fp32": 32, "fp16": 16, "int8": 8, "binary": 1}[self.value]
+    bits: int
+    bytes: float
 
-    @property
-    def bytes(self) -> float:
-        """Bytes per element; fractional for sub-byte types."""
-        return self.bits / 8
+    def __new__(cls, value: str, bits: int) -> "DType":
+        member = object.__new__(cls)
+        member._value_ = value
+        member.bits = bits
+        member.bytes = bits / 8
+        return member
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,11 @@
 """Graph-level optimizations (the Table II feature set).
 
 Each transform takes a :class:`~repro.graphs.graph.Graph` and returns a new
-annotated clone; zoo instances are never mutated.  Which transforms a
-deployment actually applies is decided by the framework models in
+annotated clone, leaving its input untouched; the ``apply_*`` core it runs
+on the clone annotates a private graph in place.  Deployments share their
+prepared graphs (:meth:`Graph.derived` runs the cores once per transform
+chain), so to mutate a graph, ``clone()`` it first.  Which transforms a
+deployment applies is decided by the framework models in
 :mod:`repro.frameworks`.
 """
 

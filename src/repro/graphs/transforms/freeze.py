@@ -12,13 +12,17 @@ from repro.graphs import ops as O
 from repro.graphs.graph import Graph
 
 
-def freeze_graph(graph: Graph) -> Graph:
-    """Return a frozen clone: training-only ops folded, variables constant."""
-    frozen = graph.clone()
-    for op in frozen.ops:
+def apply_freeze(graph: Graph) -> Graph:
+    """Freeze a private ``graph`` in place and return it."""
+    for op in graph.ops:
         if isinstance(op, O.Dropout) and not op.is_fused_away:
             producer = op.inputs[0]
             op.fused_into = producer
             producer.absorbed.append(op)
-    frozen.metadata["frozen"] = True
-    return frozen
+    graph.metadata["frozen"] = True
+    return graph
+
+
+def freeze_graph(graph: Graph) -> Graph:
+    """Return a frozen clone: training-only ops folded, variables constant."""
+    return apply_freeze(graph.clone())

@@ -14,6 +14,19 @@ from repro.graphs.graph import Graph
 PRUNABLE = (O.Conv2D, O.Conv3D, O.Dense)
 
 
+def apply_pruning(graph: Graph, sparsity: float,
+                  structured: bool = False) -> Graph:
+    """Annotate a private ``graph`` in place (see :func:`prune_graph`)."""
+    if not 0.0 <= sparsity < 1.0:
+        raise ValueError(f"sparsity must be in [0, 1), got {sparsity}")
+    for op in graph.ops:
+        if isinstance(op, PRUNABLE):
+            op.weight_sparsity = sparsity
+    graph.metadata["weight_sparsity"] = sparsity
+    graph.metadata["structured_pruning"] = structured
+    return graph
+
+
 def prune_graph(graph: Graph, sparsity: float, structured: bool = False) -> Graph:
     """Return a clone with ``sparsity`` fraction of weights zeroed.
 
@@ -24,12 +37,4 @@ def prune_graph(graph: Graph, sparsity: float, structured: bool = False) -> Grap
             backend can exploit; it is recorded in metadata so frameworks
             without sparse kernels may still benefit.
     """
-    if not 0.0 <= sparsity < 1.0:
-        raise ValueError(f"sparsity must be in [0, 1), got {sparsity}")
-    pruned = graph.clone()
-    for op in pruned.ops:
-        if isinstance(op, PRUNABLE):
-            op.weight_sparsity = sparsity
-    pruned.metadata["weight_sparsity"] = sparsity
-    pruned.metadata["structured_pruning"] = structured
-    return pruned
+    return apply_pruning(graph.clone(), sparsity, structured)

@@ -214,6 +214,119 @@ class TestNestedDefIsolation:
             "repro/engine/demo.py:helper"}
 
 
+class TestDefsUnderCompoundStatements:
+    def test_def_under_if_is_a_node_with_its_own_calls(self):
+        g = graph(module("""
+            def helper():
+                return 1
+
+            def outer(fast):
+                if fast:
+                    def inner():
+                        return helper()
+                else:
+                    pass
+                return inner
+            """))
+        assert g.successors("repro/engine/demo.py:outer.inner") == {
+            "repro/engine/demo.py:helper"}
+
+    def test_defs_under_for_with_and_try_are_nodes(self):
+        g = graph(module("""
+            import threading
+
+            try:
+                def guarded():
+                    return 1
+            except ImportError:
+                def guarded():
+                    return 0
+
+            def outer(items):
+                for item in items:
+                    def per_item():
+                        return item
+                with threading.Lock():
+                    def locked():
+                        return 2
+                return per_item, locked
+            """))
+        for qual in ("guarded", "guarded#2", "outer.per_item", "outer.locked"):
+            assert f"repro/engine/demo.py:{qual}" in g.functions, qual
+
+
+    def test_import_under_if_follows_a_package_reexport(self):
+        g = graph(
+            module("""
+                def load_model(name):
+                    return name
+                """, "src/repro/models/zoo.py"),
+            module("""
+                from repro.models.zoo import load_model
+                """, "src/repro/models/__init__.py"),
+            module("""
+                def load_model(path):
+                    return path
+                """, "src/repro/check/astutil.py"),
+            module("""
+                def build(graph=None):
+                    if graph is None:
+                        from repro.models import load_model
+                        graph = load_model("m")
+                    return graph
+                """))
+        assert g.successors("repro/engine/demo.py:build") == {
+            "repro/models/zoo.py:load_model"}
+
+
+class TestDuplicateQualnames:
+    SOURCE = """
+        class Runner:
+            def __init__(self):
+                self._total = 0
+
+            @property
+            def total(self):
+                return self._total
+
+            @total.setter
+            def total(self, value):
+                self._total = value
+
+            def reset(self):
+                return self.total(0)
+        """
+
+    def test_property_getter_and_setter_are_both_nodes(self):
+        g = graph(module(self.SOURCE, "src/repro/runtime/runner.py"))
+        lines = {fid: node.lineno for fid, node in g.functions.items()}
+        assert lines["repro/runtime/runner.py:Runner.total"] == 7
+        assert lines["repro/runtime/runner.py:Runner.total#2"] == 11
+        assert g.functions[
+            "repro/runtime/runner.py:Runner.total#2"].qualname == "Runner.total"
+
+    def test_a_call_by_the_shared_name_reaches_every_twin(self):
+        g = graph(module(self.SOURCE, "src/repro/runtime/runner.py"))
+        assert g.successors("repro/runtime/runner.py:Runner.reset") == {
+            "repro/runtime/runner.py:Runner.total",
+            "repro/runtime/runner.py:Runner.total#2"}
+
+    def test_if_else_twins_are_both_nodes_and_both_targets(self):
+        g = graph(module("""
+            def outer(fast):
+                if fast:
+                    def work():
+                        return 1
+                else:
+                    def work():
+                        return 2
+                return work()
+            """))
+        assert g.successors("repro/engine/demo.py:outer") == {
+            "repro/engine/demo.py:outer.work",
+            "repro/engine/demo.py:outer.work#2"}
+
+
 class TestReachability:
     def test_transitive_closure_includes_the_roots(self):
         g = graph(module("""

@@ -111,6 +111,25 @@ class TestRace002SharedContainerMutation:
         assert rules_of(findings) == {"RACE002"}
         assert "_RESULTS" in findings[0].message
 
+    def test_worker_defined_under_if_else_is_analyzed(self):
+        snippet = """
+        _RESULTS = {}
+
+        class Runner:
+            def run_cells(self, cells, parallel):
+                if parallel:
+                    def work(cell):
+                        _RESULTS[cell] = 1
+                else:
+                    def work(cell):
+                        _RESULTS[cell] = 2
+                return list(map(work, cells))
+        """
+        findings = check(snippet)
+        assert rules_of(findings) == {"RACE002"}
+        assert [f.location for f in findings] == [
+            "repro/runtime/runner.py:8", "repro/runtime/runner.py:11"]
+
     def test_def_nested_under_an_if_binds_a_local_name(self):
         snippet = """
         _CACHE = {}

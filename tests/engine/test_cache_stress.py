@@ -16,8 +16,10 @@ in a dedicated ``pytest -m stress`` job on every PR.
 
 from __future__ import annotations
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import pytest
 
@@ -215,3 +217,78 @@ def test_invalidate_then_rebuild_converges():
     for key in range(KEYS):
         assert len({ids[key] for ids in per_thread}) == 1
     assert isinstance(cache, MemoCache)
+
+
+@contextmanager
+def _preempt_often():
+    """Switch threads every microsecond, so racers interleave inside a
+    graph build rather than one whole build per 5 ms time slice."""
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(previous)
+
+
+#: (framework, device) pairs whose deployments share one transform chain:
+#: fuse, then FP16.
+SHARED_CHAIN = (("TensorRT", "Jetson Nano"), ("TensorRT", "Jetson TX2"),
+                ("TensorRT", "GTX Titan X"), ("TensorRT", "Titan Xp"),
+                ("TensorRT", "RTX 2080"), ("NCSDK", "Movidius NCS"))
+
+
+def test_concurrent_deploys_share_one_prepared_graph():
+    """Racing deploys of one (model, chain, dtype) get one prepared graph,
+    and its memoized byte walks read the same as a private graph's."""
+    from repro.distribution.partition import cut_points
+    from repro.frameworks import load_framework
+    from repro.graphs.tensor import DType
+    from repro.hardware import load_device
+    from repro.models import load_model
+
+    source = load_model("MobileNet-v2")
+    private = load_model("MobileNet-v2").derived(fuse=True, dtype=DType.FP16)
+    expected = (private.weight_bytes(), private.peak_activation_bytes(),
+                cut_points(private))
+    targets = [(load_framework(f), load_device(d)) for f, d in SHARED_CHAIN]
+    barrier = threading.Barrier(THREADS, timeout=60)
+
+    def worker(tid: int):
+        framework, device = targets[tid % len(targets)]
+        barrier.wait()
+        deployed = framework.deploy(source, device, DType.FP16)
+        seen = (deployed.weight_bytes(), deployed.peak_activation_bytes(),
+                deployed.cut_points())
+        return deployed.graph, seen
+
+    with _preempt_often():
+        per_thread = _run_threads(worker)
+    graphs = {id(graph) for graph, _seen in per_thread}
+    assert graphs == {id(source.derived(fuse=True, dtype=DType.FP16))}
+    for _graph, seen in per_thread:
+        assert seen == expected
+    # the frozen cut points themselves are shared, not rebuilt per thread
+    first_points = per_thread[0][1][2]
+    for _graph, (_w, _p, points) in per_thread:
+        assert all(a is b for a, b in zip(points, first_points))
+
+
+def test_concurrent_cached_deploys_share_the_cached_source_chain():
+    """Through the deploy cache: distinct cache keys, one source graph from
+    the graph cache, one prepared graph for the chain."""
+    from repro.engine.cache import cached_deploy, cached_graph
+    from repro.graphs.tensor import DType
+
+    barrier = threading.Barrier(THREADS, timeout=60)
+
+    def worker(tid: int):
+        framework, device = SHARED_CHAIN[tid % len(SHARED_CHAIN)]
+        barrier.wait()
+        return cached_deploy("ResNet-18", device, framework, DType.FP16)
+
+    with _preempt_often():
+        deployments = _run_threads(worker)
+    shared = cached_graph("ResNet-18").derived(fuse=True, dtype=DType.FP16)
+    assert all(d.graph is shared for d in deployments)
+    assert len({id(d) for d in deployments}) == len(SHARED_CHAIN)

@@ -59,6 +59,7 @@ class TestFleetBoundaries:
         ["--admit-limit", "0"], ["--admit-limit", "-1"],
         ["--arrivals", "diurnal", "--period", "0"], ["--period", "nan"],
         ["--replicas", "0"], ["--replicas", "-1"],
+        ["--epochs", "0"], ["--epochs", "-4"], ["--epochs", "2.5"],
     ], ids=" ".join)
     def test_zero_never_means_default_or_off(self, flags, capsys):
         _assert_usage_error([*FLEET_RUN, *flags], capsys, flags[-2])
@@ -66,6 +67,10 @@ class TestFleetBoundaries:
     @pytest.mark.parametrize("value", ["-1", "x", "1.5", "nan"])
     def test_seed_errors_name_the_flag(self, value, capsys):
         _assert_usage_error([*FLEET_RUN, "--seed", value], capsys, "--seed")
+
+    def test_one_epoch_still_accepted(self, capsys):
+        assert main([*FLEET_RUN, "--epochs", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["epochs"] == 1
 
     def test_seed_zero_still_accepted(self, capsys):
         assert main([*FLEET_RUN, "--seed", "0"]) == 0
@@ -227,6 +232,7 @@ FLAG_ARGV = {
     "--admit-limit": (FLEET_RUN, 64),
     "--period": ([*FLEET_RUN, "--arrivals", "diurnal"], 10.0),
     "--replicas": (FLEET_RUN, 8),
+    "--epochs": (FLEET_RUN, 64),
     "--jobs": (["suite", "table6"], 2),
     "--top": (RECOMMEND_ARGV, 50),
     "--deadline-ms": (RECOMMEND_ARGV, 1e4),
